@@ -1,11 +1,18 @@
 """Truncated q-expansions of the Eisenstein families and Siegel-unit logs.
 
-Every series is a :class:`TauQSeries`: a finite map (alpha, m) -> coefficient
-representing sum c_{alpha,m} tau^m q^alpha with exact rational exponents
-alpha >= 0 (q^alpha = e(alpha tau)) and integer tau-powers m >= 0.  A series
-never stores terms with alpha beyond its cutoff, and products later inherit
-the smaller cutoff, so the truncation error of everything downstream is
-controlled by the smallest neglected exponent.
+Every series is a :class:`TauQSeries`: a finite sum c tau^m q^alpha with
+rational exponents alpha >= 0 (q^alpha = e(alpha tau)) and integer
+tau-powers m >= 0.  The exponents live on an integer grid alpha = j/L: a
+series stores its grid denominator L and read-only numpy arrays j (int64),
+m (int64) and c (complex128), sorted by (j, m), one entry per nonzero term.
+The generators write grid indices directly (L is the denominator of the
+parameter coordinates that the exponents depend on), and sums and products
+move to the lcm of the two grids, so equal exponents merge exactly, with no
+float-epsilon logic.  A series never stores terms with alpha beyond its
+cutoff, and products inherit the smaller cutoff, so the truncation error of
+everything downstream is controlled by the smallest neglected exponent.
+The exact (Fraction(j, L), m) -> coefficient view ``terms`` is built on
+demand for printing and tests.
 
 The families:
 
@@ -29,7 +36,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Iterator, Mapping
+
+import numpy as np
 
 from mevreg.specfun import (
     bernoulli_poly,
@@ -113,33 +123,129 @@ def sigma_param(x: EllipticParam) -> EllipticParam:
 # Series container
 # ---------------------------------------------------------------------------
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def grid_limit(L: int, cutoff: Fraction) -> int:
+    """Largest grid index j with j/L <= cutoff.
+
+    Raises ValueError for a negative cutoff and for an index int64 cannot hold.
+    """
+    if cutoff < 0:
+        raise ValueError(f"series cutoff must be >= 0, got {cutoff}")
+    jmax = math.floor(cutoff * L)
+    if jmax > _INT64_MAX:
+        raise ValueError(
+            f"grid index {jmax} (cutoff {cutoff} on the 1/{L} grid) overflows int64"
+        )
+    return jmax
+
 
 class TauQSeries:
-    """Finite sum  c_{alpha,m} tau^m q^alpha  with exact rational alpha.
+    """Finite sum  c tau^m q^{j/L}  over an integer exponent grid.
 
-    Instances are immutable after construction and freely shareable.  Zero
-    coefficients and terms with alpha > cutoff are never stored.
+    A series holds its grid denominator ``L`` and read-only arrays ``j``
+    (int64), ``m`` (int64) and ``c`` (complex128), sorted by (j, m), with one
+    entry per nonzero term and none beyond the cutoff (j <= cutoff * L).
+    Instances are immutable and freely shareable.  ``terms`` is a read-only
+    mapping (alpha, m) -> coefficient with exact ``Fraction`` exponents, built
+    on first use; it serves printing and tests, never the kernels.
     """
 
-    __slots__ = ("terms", "cutoff", "level_hint")
+    __slots__ = ("L", "j", "m", "c", "cutoff", "_terms")
 
     def __init__(
-        self,
-        terms: Mapping[tuple[Fraction, int], complex],
-        cutoff: Fraction,
-        level_hint: int = 1,
+        self, terms: Mapping[tuple[Fraction, int], complex], cutoff: Fraction
     ):
         cutoff = Fraction(cutoff)
-        clean: dict[tuple[Fraction, int], complex] = {}
-        for (alpha, m), c in terms.items():
-            if c == 0 or alpha > cutoff:
-                continue
+        kept = [
+            (Fraction(alpha), m, c)
+            for (alpha, m), c in terms.items()
+            if c != 0 and alpha <= cutoff
+        ]
+        for alpha, m, _ in kept:
             if alpha < 0 or m < 0:
                 raise ValueError(f"invalid term exponents (alpha={alpha}, m={m})")
-            clean[(alpha, m)] = complex(c)
-        self.terms = clean
-        self.cutoff = cutoff
-        self.level_hint = max(1, int(level_hint))
+        L = math.lcm(1, *(alpha.denominator for alpha, _, _ in kept))
+        grid_limit(L, cutoff)
+        grid = _sorted_unique(
+            [alpha.numerator * (L // alpha.denominator) for alpha, _, _ in kept],
+            [power for _, power, _ in kept],
+            [c for _, _, c in kept],
+        )
+        self._set(L, *grid, cutoff)
+
+    def _set(self, L: int, j, m, c, cutoff: Fraction) -> None:
+        for arr in (j, m, c):
+            arr.flags.writeable = False
+        for name, value in (
+            ("L", L), ("j", j), ("m", m), ("c", c), ("cutoff", cutoff), ("_terms", None)
+        ):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("TauQSeries is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("TauQSeries is immutable")
+
+    @classmethod
+    def _make(cls, L: int, j, m, c, cutoff: Fraction) -> "TauQSeries":
+        """Wrap arrays that already meet the invariants of the class."""
+        out = cls.__new__(cls)
+        out._set(L, j, m, c, cutoff)
+        return out
+
+    @classmethod
+    def from_grid(cls, L: int, j, m, c, cutoff: Fraction) -> "TauQSeries":
+        """Series of sum_i c_i tau^{m_i} q^{j_i / L}, in any order.
+
+        Terms with equal (j, m) are summed in input order; terms with
+        j > cutoff * L and zero sums are dropped.
+        """
+        cutoff = Fraction(cutoff)
+        jmax = grid_limit(L, cutoff)
+        j = np.asarray(j, dtype=np.int64)
+        m = np.asarray(m, dtype=np.int64)
+        c = np.asarray(c, dtype=np.complex128)
+        keep = j <= jmax
+        if not keep.all():
+            j, m, c = j[keep], m[keep], c[keep]
+        if j.size and (j.min() < 0 or m.min() < 0):
+            raise ValueError("negative grid index or tau power")
+        stride = int(m.max()) + 1 if m.size else 1
+        if (jmax + 1) * stride > _INT64_MAX:
+            raise ValueError(f"grid keys of the 1/{L} grid overflow int64")
+        keys, slot = np.unique(j * stride + m, return_inverse=True)
+        total = np.empty(keys.size, dtype=np.complex128)
+        total.real = np.bincount(slot, weights=c.real, minlength=keys.size)
+        total.imag = np.bincount(slot, weights=c.imag, minlength=keys.size)
+        nonzero = total != 0
+        keys = keys[nonzero]
+        return cls._make(L, keys // stride, keys % stride, total[nonzero], cutoff)
+
+    @property
+    def terms(self) -> Mapping[tuple[Fraction, int], complex]:
+        if self._terms is None:
+            L = self.L
+            view = MappingProxyType(
+                {
+                    (Fraction(j, L), m): c
+                    for j, m, c in zip(self.j.tolist(), self.m.tolist(), self.c.tolist())
+                }
+            )
+            object.__setattr__(self, "_terms", view)
+        return self._terms
+
+    def on_grid(self, L: int, cutoff: Fraction) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(j, m, c) of the terms with alpha <= cutoff, j on the 1/L grid.
+
+        L must be a multiple of ``self.L``.
+        """
+        grid_limit(L, cutoff)
+        n = int(np.searchsorted(self.j, grid_limit(self.L, cutoff), side="right"))
+        j = self.j[:n] if L == self.L else self.j[:n] * (L // self.L)
+        return j, self.m[:n], self.c[:n]
 
     # -- basic algebra ------------------------------------------------------
 
@@ -147,24 +253,25 @@ class TauQSeries:
         return iter(self.terms.items())
 
     def __len__(self) -> int:
-        return len(self.terms)
+        return int(self.c.size)
 
     def coeff(self, alpha, m: int = 0) -> complex:
         return self.terms.get((Fraction(alpha), m), 0.0 + 0.0j)
 
     def __add__(self, other: "TauQSeries") -> "TauQSeries":
         cutoff = min(self.cutoff, other.cutoff)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            out[key] = out.get(key, 0.0) + c
-        return TauQSeries(out, cutoff, max(self.level_hint, other.level_hint))
+        L = math.lcm(self.L, other.L)
+        parts = zip(self.on_grid(L, cutoff), other.on_grid(L, cutoff))
+        return TauQSeries.from_grid(L, *(np.concatenate(p) for p in parts), cutoff)
 
     def __sub__(self, other: "TauQSeries") -> "TauQSeries":
         return self + other.scale(-1.0)
 
     def scale(self, c: complex) -> "TauQSeries":
-        return TauQSeries(
-            {key: c * v for key, v in self.terms.items()}, self.cutoff, self.level_hint
+        v = c * self.c
+        nonzero = v != 0
+        return TauQSeries._make(
+            self.L, self.j[nonzero], self.m[nonzero], v[nonzero], self.cutoff
         )
 
     def shift_tau(self, j: int) -> "TauQSeries":
@@ -173,40 +280,63 @@ class TauQSeries:
             raise ValueError("negative tau power would leave the series ring")
         if j == 0:
             return self
-        return TauQSeries(
-            {(a, m + j): c for (a, m), c in self.terms.items()},
-            self.cutoff,
-            self.level_hint,
-        )
+        return TauQSeries._make(self.L, self.j, self.m + j, self.c, self.cutoff)
 
     def derivative(self) -> "TauQSeries":
         """d/d(tau): tau^m q^alpha -> m tau^{m-1} q^alpha + 2 pi i alpha tau^m q^alpha."""
-        out: dict[tuple[Fraction, int], complex] = {}
-        for (a, m), c in self.terms.items():
-            if m >= 1:
-                key = (a, m - 1)
-                out[key] = out.get(key, 0.0) + m * c
-            if a != 0:
-                key = (a, m)
-                out[key] = out.get(key, 0.0) + TWO_PI_I * float(a) * c
-        return TauQSeries(out, self.cutoff, self.level_hint)
+        lowered = self.m >= 1
+        moving = self.j != 0
+        return TauQSeries.from_grid(
+            self.L,
+            np.concatenate([self.j[lowered], self.j[moving]]),
+            np.concatenate([self.m[lowered] - 1, self.m[moving]]),
+            np.concatenate(
+                [
+                    self.m[lowered] * self.c[lowered],
+                    TWO_PI_I * (self.j[moving] / self.L) * self.c[moving],
+                ]
+            ),
+            self.cutoff,
+        )
 
     def max_abs_coeff(self) -> float:
-        return max((abs(c) for c in self.terms.values()), default=0.0)
-
-    def rescale_exponents(self, factor: Fraction) -> "TauQSeries":
-        """Substitute tau -> factor*tau on pure q-series (no tau-powers beyond m=0... ).
-
-        Each term c tau^m q^alpha becomes c (factor*tau)^m q^{alpha*factor}.
-        """
-        factor = Fraction(factor)
-        out = {
-            (a * factor, m): c * float(factor) ** m for (a, m), c in self.terms.items()
-        }
-        return TauQSeries(out, self.cutoff * factor, self.level_hint)
+        return float(np.abs(self.c).max(initial=0.0))
 
     def __repr__(self) -> str:
-        return f"TauQSeries({len(self.terms)} terms, cutoff={self.cutoff})"
+        return f"TauQSeries({len(self)} terms, cutoff={self.cutoff})"
+
+
+def real_divide(c: np.ndarray, d) -> np.ndarray:
+    """c / d for real d, rounded like Python's complex / float.
+
+    Each part is divided by d; numpy's complex division would multiply by a
+    rounded 1/d instead.
+    """
+    out = np.empty(np.broadcast(c, d).shape, dtype=np.complex128)
+    out.real = c.real / d
+    out.imag = c.imag / d
+    return out
+
+
+def _sorted_unique(j, m, c) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Grid arrays sorted by (j, m) from terms with distinct keys; zeros dropped.
+
+    Coefficients are stored as given, bit for bit.
+    """
+    j = np.asarray(j, dtype=np.int64)
+    m = np.asarray(m, dtype=np.int64)
+    c = np.asarray(c, dtype=np.complex128)
+    order = np.lexsort((m, j))
+    order = order[c[order] != 0]
+    return j[order], m[order], c[order]
+
+
+def _from_terms(
+    L: int, terms: dict[tuple[int, int], complex], cutoff: Fraction
+) -> TauQSeries:
+    """Series from a generator's (j, m) -> coefficient accumulator (all j/L <= cutoff)."""
+    grid = _sorted_unique([j for j, _ in terms], [m for _, m in terms], list(terms.values()))
+    return TauQSeries._make(L, *grid, cutoff)
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +410,7 @@ def _cot_factor(x: Fraction) -> complex:
 def e_series(
     k: int, x: EllipticParam, cutoff: Fraction = DEFAULT_CUTOFF
 ) -> TauQSeries:
-    """Weight-k series at parameter x.
+    """Weight-k series at parameter x, on the grid of the denominator of x1.
 
     Constant term: {x1} - 1/2 (k = 1, x1 != 0); -(1/2)(1+e(x2))/(1-e(x2))
     (k = 1, x1 = 0, x2 != 0); 0 at the origin; B_k({x1})/k for k >= 2.
@@ -292,7 +422,9 @@ def e_series(
     if k == 2 and x.is_zero:
         raise ValueError("weight 2 at the origin is excluded (not holomorphic)")
     cutoff = Fraction(cutoff)
-    terms: dict[tuple[Fraction, int], complex] = {}
+    L = x.x1.denominator
+    jmax = grid_limit(L, cutoff)
+    terms: dict[tuple[int, int], complex] = {}
     if k == 1:
         if x.x1 != 0:
             a0 = complex(float(x.x1) - 0.5)
@@ -303,25 +435,27 @@ def e_series(
     else:
         a0 = complex(bernoulli_poly(k, x.x1) / k)
     if a0 != 0:
-        terms[(Fraction(0), 0)] = a0
-    _accumulate_e_branch(terms, k, x.x1, x.x2, cutoff, -1.0 + 0.0j, conj=False)
+        terms[(0, 0)] = a0
+    _accumulate_e_branch(terms, k, x.x1, x.x2, L, jmax, -1.0 + 0.0j, conj=False)
     _accumulate_e_branch(
-        terms, k, -x.x1 % 1, x.x2, cutoff, complex((-1) ** (k + 1)), conj=True
+        terms, k, -x.x1 % 1, x.x2, L, jmax, complex((-1) ** (k + 1)), conj=True
     )
-    return TauQSeries(terms, cutoff, x.level())
+    return _from_terms(L, terms, cutoff)
 
 
-def _accumulate_e_branch(terms, k, n_res, x2, cutoff, sign, conj):
-    """Add sign * e(±m x2) n^{k-1} q^{mn} over n ≡ n_res (mod 1), n > 0, m >= 1."""
-    n = n_res if n_res != 0 else Fraction(1)
-    while n <= cutoff:
-        nk = float(n) ** (k - 1)
-        mmax = int(cutoff / n)
-        for m in range(1, mmax + 1):
+def _accumulate_e_branch(terms, k, n_res, x2, L, jmax, sign, conj):
+    """Add sign * e(±m x2) n^{k-1} q^{mn} over n ≡ n_res (mod 1), n > 0, m >= 1.
+
+    n = i/L runs over grid indices i; the exponent mn sits at index m*i.
+    """
+    i = int(n_res * L) if n_res != 0 else L
+    while i <= jmax:
+        nk = (i / L) ** (k - 1)
+        for m in range(1, jmax // i + 1):
             phase = e2pi(-m * x2 if conj else m * x2)
-            key = (m * n, 0)
+            key = (m * i, 0)
             terms[key] = terms.get(key, 0.0) + sign * phase * nk
-        n += 1
+        i += L
 
 
 @lru_cache(maxsize=4096)
@@ -330,13 +464,16 @@ def g_series(
 ) -> TauQSeries:
     """Interpolated family: m^{k-1} q^{mn} over (m, n) ≡ ±x (mod 1), m, n > 0.
 
+    The exponents lie on the grid of the product of the two denominators.
     Constant term: -B_1({x2}) / -B_1({x1}) in the single-zero-coordinate
     k = 1 cases, -B_k({x1})/k when k >= 2 and x2 = 0, else 0.
     """
     if k < 1:
         raise ValueError("weight must be >= 1")
     cutoff = Fraction(cutoff)
-    terms: dict[tuple[Fraction, int], complex] = {}
+    d1, d2 = x.x1.denominator, x.x2.denominator
+    jmax = grid_limit(d1 * d2, cutoff)
+    terms: dict[tuple[int, int], complex] = {}
     if k == 1:
         if x.x1 == 0 and x.x2 != 0:
             a0 = -bernoulli_poly(1, x.x2)
@@ -347,23 +484,29 @@ def g_series(
     else:
         a0 = -bernoulli_poly(k, x.x1) / k if x.x2 == 0 else 0.0
     if a0 != 0:
-        terms[(Fraction(0), 0)] = complex(a0)
-    _accumulate_g_branch(terms, k, x.x1, x.x2, cutoff, 1.0)
-    _accumulate_g_branch(terms, k, -x.x1 % 1, -x.x2 % 1, cutoff, float((-1) ** k))
-    return TauQSeries(terms, cutoff, x.level())
+        terms[(0, 0)] = complex(a0)
+    _accumulate_g_branch(terms, k, x.x1, x.x2, d1, d2, jmax, 1.0)
+    _accumulate_g_branch(
+        terms, k, -x.x1 % 1, -x.x2 % 1, d1, d2, jmax, float((-1) ** k)
+    )
+    return _from_terms(d1 * d2, terms, cutoff)
 
 
-def _accumulate_g_branch(terms, k, m_res, n_res, cutoff, sign):
-    m = m_res if m_res != 0 else Fraction(1)
-    n0 = n_res if n_res != 0 else Fraction(1)
-    while m * n0 <= cutoff:
-        mk = sign * float(m) ** (k - 1)
-        n = n0
-        while m * n <= cutoff:
-            key = (m * n, 0)
+def _accumulate_g_branch(terms, k, m_res, n_res, d1, d2, jmax, sign):
+    """Add sign * m^{k-1} q^{mn} over m ≡ m_res, n ≡ n_res (mod 1), m, n > 0.
+
+    m = a/d1 and n = b/d2; the exponent mn sits at index a*b of the 1/(d1 d2) grid.
+    """
+    a = int(m_res * d1) if m_res != 0 else d1
+    b0 = int(n_res * d2) if n_res != 0 else d2
+    while a * b0 <= jmax:
+        mk = sign * (a / d1) ** (k - 1)
+        b = b0
+        while a * b <= jmax:
+            key = (a * b, 0)
             terms[key] = terms.get(key, 0.0) + mk
-            n += 1
-        m += 1
+            b += d2
+        a += d1
 
 
 @lru_cache(maxsize=4096)
@@ -382,7 +525,8 @@ def gn_series(
     n_lv = level
     a, b = xbar[0] % n_lv, xbar[1] % n_lv
     cutoff = Fraction(cutoff)
-    terms: dict[tuple[Fraction, int], complex] = {}
+    jmax = grid_limit(n_lv, cutoff)
+    terms: dict[tuple[int, int], complex] = {}
     if k == 1:
         if a == 0 and b != 0:
             a0 = -bernoulli_poly(1, Fraction(b, n_lv))
@@ -393,22 +537,22 @@ def gn_series(
     else:
         a0 = -(n_lv ** (k - 1)) * bernoulli_poly(k, Fraction(a, n_lv)) / k if b == 0 else 0.0
     if a0 != 0:
-        terms[(Fraction(0), 0)] = complex(a0)
+        terms[(0, 0)] = complex(a0)
     for m_res, n_res, sign in (
         (a, b, 1.0),
         ((-a) % n_lv, (-b) % n_lv, float((-1) ** k)),
     ):
         m = m_res if m_res != 0 else n_lv
         n_start = n_res if n_res != 0 else n_lv
-        while Fraction(m * n_start, n_lv) <= cutoff:
+        while m * n_start <= jmax:
             mk = sign * float(m) ** (k - 1)
             n = n_start
-            while Fraction(m * n, n_lv) <= cutoff:
-                key = (Fraction(m * n, n_lv), 0)
+            while m * n <= jmax:
+                key = (m * n, 0)
                 terms[key] = terms.get(key, 0.0) + mk
                 n += n_lv
             m += n_lv
-    return TauQSeries(terms, cutoff, n_lv)
+    return _from_terms(n_lv, terms, cutoff)
 
 
 @lru_cache(maxsize=4096)
@@ -426,7 +570,8 @@ def h_series(
     if k == 2 and x.x1 == 0:
         raise ValueError("H with k = 2 requires x1 != 0")
     cutoff = Fraction(cutoff)
-    terms: dict[tuple[Fraction, int], complex] = {}
+    jmax = grid_limit(1, cutoff)
+    terms: dict[tuple[int, int], complex] = {}
     if k == 1:
         if x.is_zero:
             a0 = 0.0 + 0.0j
@@ -439,16 +584,15 @@ def h_series(
     else:
         a0 = (-1) ** k * periodic_zeta(-x.x2, 1 - k)
     if a0 != 0:
-        terms[(Fraction(0), 0)] = complex(a0)
+        terms[(0, 0)] = complex(a0)
     sign = float((-1) ** k)
-    mmax = int(cutoff)
-    for m in range(1, mmax + 1):
-        for n in range(1, int(cutoff / m) + 1):
+    for m in range(1, jmax + 1):
+        for n in range(1, jmax // m + 1):
             phase = e2pi(m * x.x1 + n * x.x2)
             c = (phase + sign * phase.conjugate()) * float(n) ** (k - 1)
-            key = (Fraction(m * n), 0)
+            key = (m * n, 0)
             terms[key] = terms.get(key, 0.0) + c
-    return TauQSeries(terms, cutoff, x.level())
+    return _from_terms(1, terms, cutoff)
 
 
 @lru_cache(maxsize=4096)
@@ -467,22 +611,24 @@ def log_siegel_series(
     if x.is_zero:
         raise ValueError("the Siegel-unit log requires a nonzero parameter")
     cutoff = Fraction(cutoff)
-    terms: dict[tuple[Fraction, int], complex] = {}
-    terms[(Fraction(0), 1)] = complex(math.pi * bernoulli_poly(2, x.x1)) * 1j
+    L = x.x1.denominator
+    jmax = grid_limit(L, cutoff)
+    terms: dict[tuple[int, int], complex] = {}
+    terms[(0, 1)] = complex(math.pi * bernoulli_poly(2, x.x1)) * 1j
     if x.x1 == 0:
         t = float(x.x2)
-        terms[(Fraction(0), 0)] = complex(
+        terms[(0, 0)] = complex(
             math.log(2.0 * math.sin(math.pi * t)), math.pi * (t - 0.5)
         )
     for n_res, conj in ((x.x1, False), (-x.x1 % 1, True)):
-        n = n_res if n_res != 0 else Fraction(1)
-        while n <= cutoff:
-            for m in range(1, int(cutoff / n) + 1):
+        i = int(n_res * L) if n_res != 0 else L
+        while i <= jmax:
+            for m in range(1, jmax // i + 1):
                 phase = e2pi(-m * x.x2 if conj else m * x.x2)
-                key = (m * n, 0)
+                key = (m * i, 0)
                 terms[key] = terms.get(key, 0.0) - phase / m
-            n += 1
-    return TauQSeries(terms, cutoff, x.level())
+            i += L
+    return _from_terms(L, terms, cutoff)
 
 
 @lru_cache(maxsize=4096)
@@ -497,13 +643,11 @@ def eichler_series(
     if k < 2:
         raise ValueError("Eichler integrals are taken for weight >= 2")
     base = e_series(k, x, cutoff)
-    terms: dict[tuple[Fraction, int], complex] = {}
-    for (alpha, m), c in base:
-        if alpha == 0:
-            terms[(alpha, m + 1)] = TWO_PI_I * c
-        else:
-            terms[(alpha, m)] = c / float(alpha)
-    return TauQSeries(terms, base.cutoff, base.level_hint)
+    flat = base.j == 0
+    alpha = np.where(flat, 1, base.j) / base.L
+    lifted = real_divide(base.c, alpha)
+    lifted[flat] = TWO_PI_I * base.c[flat]
+    return TauQSeries.from_grid(base.L, base.j, base.m + flat, lifted, base.cutoff)
 
 
 # ---------------------------------------------------------------------------
@@ -514,10 +658,7 @@ def eichler_series(
 def qdump_rows(series: TauQSeries) -> list[str]:
     """CSV rows ``alpha_num,alpha_den,tau_power,coeff_re,coeff_im`` sorted by
     (alpha, tau_power)."""
-    rows = []
-    for (alpha, m) in sorted(series.terms):
-        c = series.terms[(alpha, m)]
-        rows.append(
-            f"{alpha.numerator},{alpha.denominator},{m},{c.real!r},{c.imag!r}"
-        )
-    return rows
+    return [
+        f"{alpha.numerator},{alpha.denominator},{m},{c.real!r},{c.imag!r}"
+        for (alpha, m), c in series.terms.items()
+    ]

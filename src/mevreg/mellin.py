@@ -167,30 +167,31 @@ def mellin_numeric(form: AdmissibleForm, s: complex) -> MellinResult:
     are diverted into the residue, everything else is the constant term.
     """
     s = complex(s)
-    if all(alpha == 0 for (alpha, _m) in form.inf_side.terms):
+    inf, zero = form.inf_side, form.zero_side
+    if not inf.j.any():
         # Pure polynomial: the two halves of the split cancel identically.
         return MellinResult(0.0 + 0.0j)
     value = 0.0 + 0.0j
     residue = 0.0 + 0.0j
-    for (alpha, m), c in form.inf_side.terms.items():
+    for j, m, c in zip(inf.j.tolist(), inf.m.tolist(), inf.c.tolist()):
         w = c * (1j) ** m
-        if alpha == 0:
+        if j == 0:
             if s == -m:
                 residue += -w
             else:
                 value += -w / (s + m)
         else:
-            a = TWO_PI * float(alpha)
+            a = TWO_PI * (j / inf.L)
             value += w * a ** -(s + m) * upper_incomplete_gamma(s + m, a)
-    for (beta, m), d in form.zero_side.terms.items():
+    for j, m, d in zip(zero.j.tolist(), zero.m.tolist(), zero.c.tolist()):
         w = d * (1j) ** m
-        if beta == 0:
+        if j == 0:
             if s == m + 2:
                 residue += -w
             else:
                 value += w / (m + 2 - s)
         else:
-            b = TWO_PI * float(beta)
+            b = TWO_PI * (j / zero.L)
             value += -w * b ** -(m + 2 - s) * upper_incomplete_gamma(m + 2 - s, b)
     if residue != 0:
         return MellinResult(value, True, residue)

@@ -43,11 +43,15 @@ from functools import lru_cache
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+
 from mevreg.eisenstein import (
     DEFAULT_CUTOFF,
     EllipticParam,
     TauQSeries,
     e_series,
+    grid_limit,
+    real_divide,
     sigma_param,
 )
 
@@ -82,35 +86,51 @@ MIN_EVAL_Y = 0.5
 # Series operations
 # ---------------------------------------------------------------------------
 
+# i^m for m mod 4
+_I_POWERS = np.array([1.0, 1.0j, -1.0, -1.0j])
+
+
+def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Elementwise a * b rounded like Python's complex product.
+
+    numpy's complex multiply may fuse multiply-adds, which moves last bits
+    and can turn an exact cancellation into a 1e-17 residue.
+    """
+    out = np.empty(np.broadcast(a, b).shape, dtype=np.complex128)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
 
 def one_series(cutoff: Fraction = DEFAULT_CUTOFF) -> TauQSeries:
-    return TauQSeries({(Fraction(0), 0): 1.0 + 0.0j}, cutoff)
+    return TauQSeries.from_grid(1, [0], [0], [1.0 + 0.0j], cutoff)
 
 
 def mul_series(a: TauQSeries, b: TauQSeries) -> TauQSeries:
-    """Cauchy product on the (alpha, m) bigrading; cutoff = min of the two."""
+    """Cauchy product on the (alpha, m) bigrading; cutoff = min of the two.
+
+    Both factors move to the common grid lcm(La, Lb).  Only the pairs with
+    j_a + j_b <= cutoff * L are formed: b is sorted by j, so for each term
+    of a they are a prefix of b.  Equal keys are summed a-major.
+    """
     cutoff = min(a.cutoff, b.cutoff)
-    out: dict[tuple[Fraction, int], complex] = {}
-    bi = list(b.terms.items())
-    for (aa, ma), ca in a.terms.items():
-        if aa > cutoff:
-            continue
-        for (ab, mb), cb in bi:
-            alpha = aa + ab
-            if alpha > cutoff:
-                continue
-            key = (alpha, ma + mb)
-            out[key] = out.get(key, 0.0) + ca * cb
-    return TauQSeries(out, cutoff, max(a.level_hint, b.level_hint))
+    L = math.lcm(a.L, b.L)
+    ja, ma, ca = a.on_grid(L, cutoff)
+    jb, mb, cb = b.on_grid(L, cutoff)
+    counts = np.searchsorted(jb, grid_limit(L, cutoff) - ja, side="right")
+    ia = np.repeat(np.arange(ja.size), counts)
+    ib = np.arange(ia.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    return TauQSeries.from_grid(
+        L, ja[ia] + jb[ib], ma[ia] + mb[ib], _cmul(ca[ia], cb[ib]), cutoff
+    )
 
 
 def conj_axis(a: TauQSeries) -> TauQSeries:
     """Series of tau -> conj(f(tau)) on the imaginary axis: c -> (-1)^m conj(c)."""
-    return TauQSeries(
-        {(alpha, m): (-1) ** m * c.conjugate() for (alpha, m), c in a.terms.items()},
-        a.cutoff,
-        a.level_hint,
-    )
+    c = np.conj(a.c)
+    odd = a.m % 2 == 1
+    c[odd] = -c[odd]
+    return TauQSeries.from_grid(a.L, a.j, a.m, c, a.cutoff)
 
 
 def channel_series(f: TauQSeries, channel: str) -> TauQSeries:
@@ -137,31 +157,34 @@ def antiderivative_to_infinity(omega: TauQSeries) -> TauQSeries:
     q^alpha * sum_{j<=m} (-1)^j m!/(m-j)! tau^{m-j} / (2 pi i alpha)^{j+1};
     alpha = 0: plain monomial integration with zero constant.
     """
-    out: dict[tuple[Fraction, int], complex] = {}
-    for (alpha, m), c in omega.terms.items():
-        if alpha == 0:
-            key = (alpha, m + 1)
-            out[key] = out.get(key, 0.0) + c / (m + 1)
-            continue
-        base = 1.0 / (TWO_PI_I * float(alpha))
-        coeff = c * base
-        for j in range(m + 1):
-            key = (alpha, m - j)
-            out[key] = out.get(key, 0.0) + coeff
-            if j < m:
-                coeff *= -(m - j) * base
-    return TauQSeries(out, omega.cutoff, omega.level_hint)
+    j, m, c = omega.j, omega.m, omega.c
+    n0 = int(np.searchsorted(j, 0, side="right"))  # the alpha = 0 terms lead
+    jq, mq = j[n0:], m[n0:]
+    base = 1.0 / (TWO_PI_I * (jq / omega.L))
+    # row r holds the coefficients of tau^{m_r - t} q^{alpha_r}, t = 0..m_r
+    width = int(mq.max(initial=0)) + 1
+    coeff = np.empty((jq.size, width), dtype=np.complex128)
+    coeff[:, 0] = _cmul(c[n0:], base)
+    for t in range(1, width):
+        coeff[:, t] = _cmul(coeff[:, t - 1], -(mq - (t - 1)) * base)
+    steps = np.arange(width)
+    valid = steps <= mq[:, None]
+    return TauQSeries.from_grid(
+        omega.L,
+        np.concatenate([j[:n0], np.broadcast_to(jq[:, None], valid.shape)[valid]]),
+        np.concatenate([m[:n0] + 1, (mq[:, None] - steps)[valid]]),
+        np.concatenate([real_divide(c[:n0], m[:n0] + 1), coeff[valid]]),
+        omega.cutoff,
+    )
 
 
 def evaluate_at(f: TauQSeries, y: float) -> complex:
     """Value sum c_{alpha,m} (iy)^m e^{-2 pi alpha y}; requires y >= 1/2."""
     if y < MIN_EVAL_Y - 1e-12:
         raise ValueError(f"evaluation point y = {y} below the safe threshold 0.5")
-    total = 0.0 + 0.0j
-    iy = 1j * y
-    for (alpha, m), c in f.terms.items():
-        total += c * iy**m * math.exp(-2.0 * math.pi * float(alpha) * y)
-    return total
+    alpha = f.j / f.L
+    weights = _I_POWERS[f.m % 4] * y ** f.m * np.exp(-2.0 * math.pi * alpha * y)
+    return complex(np.sum(f.c * weights))
 
 
 def evaluate_with_bound(f: TauQSeries, y: float) -> tuple[complex, float]:
@@ -173,12 +196,10 @@ def evaluate_with_bound(f: TauQSeries, y: float) -> tuple[complex, float]:
     """
     value = evaluate_at(f, y)
     cut = float(f.cutoff)
-    shell = [
-        (abs(c), m) for (alpha, m), c in f.terms.items() if float(alpha) > cut - 1.0
-    ]
-    biggest = max((a for a, _ in shell), default=1.0)
-    mmax = max((m for _, m in shell), default=0)
-    bound = (len(shell) + 1) * biggest * math.exp(-2.0 * math.pi * cut * y)
+    shell = f.j / f.L > cut - 1.0
+    biggest = float(np.abs(f.c[shell]).max()) if shell.any() else 1.0
+    mmax = int(f.m[shell].max(initial=0))
+    bound = (int(shell.sum()) + 1) * biggest * math.exp(-2.0 * math.pi * cut * y)
     bound *= max(1.0, y) ** mmax
     return value, bound
 
@@ -381,23 +402,7 @@ def word_integral_zero_to_infinity(word, tau0_y: float = 1.0) -> complex:
     with the 0-side factors through path reversal and sigma-pullback:
     int_0^{tau0} w1..wk = (-1)^k [int_tau^oo wk^s..w1^s](-1/tau0).
     """
-    letters = _letters_of(word)
-    n = len(letters)
-    cutoff = min(l.inf_side.cutoff for l in letters)
-    inf_suffix = _suffix_integrals([l.inf_side for l in letters], cutoff)
-    sigma_rev = [letters[j].zero_side for j in range(n - 1, -1, -1)]
-    zero_suffix = _suffix_integrals(sigma_rev, cutoff)
-    total = 0.0 + 0.0j
-    y_zero = 1.0 / tau0_y  # -1/(i*tau0_y) = i / tau0_y
-    for k in range(n + 1):
-        z = (
-            1.0 + 0.0j
-            if k == 0
-            else (-1.0) ** k * evaluate_at(zero_suffix[n - k], y_zero)
-        )
-        w = 1.0 + 0.0j if k == n else evaluate_at(inf_suffix[k], tau0_y)
-        total += z * w
-    return total
+    return word_integral_zero_to_infinity_with_bound(word, tau0_y)[0]
 
 
 def word_integral_zero_to_infinity_with_bound(

@@ -167,17 +167,30 @@ def _lvalue_mellin(
     return res.value
 
 
+def _lvalue_from_mellin(a: EllipticParam, b: EllipticParam, m_val: complex) -> float:
+    """-(3 pi / 2) Re M - zeta3_term; rejects a Mellin value that is not real."""
+    value = -1.5 * math.pi * m_val.real - zeta3_term(a, b)
+    if abs(m_val.imag) > 1e-8 * max(1.0, abs(m_val.real)):
+        raise ArithmeticError(f"nonreal Mellin value {m_val}")
+    return value
+
+
+def _torsion_level(a: EllipticParam, b: EllipticParam, level: Optional[int]) -> int:
+    """The level N of the pair (lcm of the denominators unless given); a, b must be N-torsion."""
+    n_lv = level if level is not None else math.lcm(a.level(), b.level())
+    for p in (a, b):
+        if (p.x1 * n_lv).denominator != 1 or (p.x2 * n_lv).denominator != 1:
+            raise ValueError(f"{p} is not {n_lv}-torsion")
+    return n_lv
+
+
 def goncharov_lvalue(
     a: EllipticParam, b: EllipticParam, cutoff: Fraction = DEFAULT_CUTOFF
 ) -> float:
     """L-value pipeline for the same regulator integral."""
     c = -(a + b)
     _require_interior(a, b, c)
-    m_val = _lvalue_mellin(a, b, cutoff)
-    value = -1.5 * math.pi * m_val.real - zeta3_term(a, b)
-    if abs(m_val.imag) > 1e-8 * max(1.0, abs(m_val.real)):
-        raise ArithmeticError(f"nonreal Mellin value {m_val}")
-    return value
+    return _lvalue_from_mellin(a, b, _lvalue_mellin(a, b, cutoff))
 
 
 def beilinson(
@@ -189,11 +202,7 @@ def beilinson(
     """The companion regulator -(9 pi / N^2) M(G1G1-sum, -1) at level N."""
     c = -(a + b)
     _require_interior(a, b, c)
-    n_lv = level if level is not None else math.lcm(a.level(), b.level())
-    if (a.x1 * n_lv).denominator != 1 or (a.x2 * n_lv).denominator != 1:
-        raise ValueError(f"{a} is not {n_lv}-torsion")
-    if (b.x1 * n_lv).denominator != 1 or (b.x2 * n_lv).denominator != 1:
-        raise ValueError(f"{b} is not {n_lv}-torsion")
+    n_lv = _torsion_level(a, b, level)
     m_val = _lvalue_mellin(a, b, cutoff)
     return -(9.0 * math.pi / n_lv**2) * m_val.real
 
@@ -367,10 +376,12 @@ def regulator_report(
     """Both pipelines, the companion regulator, and the two bridge residuals."""
     c = -(a + b)
     _require_interior(a, b, c)
-    n_lv = level if level is not None else math.lcm(a.level(), b.level())
+    n_lv = _torsion_level(a, b, level)
     g1, parts = _goncharov_mev_parts(a, b, cutoff)
-    g2 = goncharov_lvalue(a, b, cutoff)
-    bl = beilinson(a, b, n_lv, cutoff)
+    # one Mellin value feeds both the L-value pipeline and the companion regulator
+    m_val = _lvalue_mellin(a, b, cutoff)
+    g2 = _lvalue_from_mellin(a, b, m_val)
+    bl = -(9.0 * math.pi / n_lv**2) * m_val.real
     z3 = zeta3_term(a, b)
     breakdown = {}
     breakdown.update(parts.triples)

@@ -114,3 +114,21 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "0.392699" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        # a negative cutoff used to give the value 0 with exit status 0
+        ["mev", "--params", "1/5,2/5", "--cutoff", "-3"],
+        # a truncation bound above the reporting ceiling raises ArithmeticError
+        ["regulator", "--a", "1/5,2/5", "--b", "2/5,1/5", "--cutoff", "3"],
+    ],
+)
+def test_bad_input_is_one_line_error(args, capsys):
+    code = main(args)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")

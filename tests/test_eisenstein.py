@@ -305,6 +305,45 @@ def test_tauqseries_invariants():
         TauQSeries({(F(1), -1): 1.0}, F(12))
 
 
+def test_cached_series_are_immutable():
+    s = e_series(2, X(F(1, 5), F(2, 5)))
+    assert s is e_series(2, X(F(1, 5), F(2, 5)))  # the lru_cache hands out one object
+    for arr in (s.j, s.m, s.c):
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    with pytest.raises(TypeError):
+        s.terms[(F(1, 5), 0)] = 1.0
+    with pytest.raises(AttributeError):
+        s.cutoff = F(3)
+    assert s.coeff(F(1, 5), 0) == e_series(2, X(F(1, 5), F(2, 5))).coeff(F(1, 5), 0)
+
+
+def test_grid_representation():
+    s = g_series(1, X(F(1, 5), F(2, 7)))
+    assert s.L == 35
+    assert list(s.j) == sorted(s.j) and (s.j <= 12 * 35).all()
+    assert len(s) == len(s.terms) == s.c.size and (s.c != 0).all()
+    for (alpha, m), c in s:
+        assert alpha * s.L == int(alpha * s.L)
+    # a non-integer cutoff keeps exactly the exponents alpha <= 25/2
+    full = e_series(2, X(F(2, 7), F(1, 3)), F(13))
+    cut = e_series(2, X(F(2, 7), F(1, 3)), F(25, 2))
+    assert dict(cut.terms) == {k: c for k, c in full.terms.items() if k[0] <= F(25, 2)}
+
+
+def test_cutoff_and_grid_limits():
+    with pytest.raises(ValueError):
+        TauQSeries({(F(1), 0): 1.0}, F(-3))
+    with pytest.raises(ValueError):
+        e_series(2, X(F(1, 5), F(2, 5)), F(-3))
+    with pytest.raises(ValueError):  # 12 * L beyond int64
+        TauQSeries({(F(1, 2**62), 0): 1.0}, F(12))
+    with pytest.raises(ValueError):
+        TauQSeries.from_grid(5, [1, 2], [0, -1], [1.0, 1.0], F(12))
+    empty = TauQSeries({}, F(0))
+    assert len(empty) == 0 and empty.max_abs_coeff() == 0.0
+
+
 def test_qdump_rows_sorted():
     s = e_series(2, X(F(1, 5), F(2, 5)), F(3))
     rows = qdump_rows(s)

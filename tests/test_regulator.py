@@ -159,3 +159,14 @@ def test_continuity_within_component():
     shifted = RG.goncharov_mev(X(a.x1, a.x2 + step), b)
     assert RG.component_label(X(a.x1, a.x2 + step), b) == RG.component_label(a, b)
     assert abs(shifted - base) / float(step) < 50.0
+
+
+def test_report_uses_one_mellin_value_for_both_l_values():
+    # the report computes M(G1 G1-sum, -1) once; its L-value and companion
+    # regulator must equal the public two-call route bit for bit
+    a, b = X(F(2, 7), F(3, 7)), X(F(1, 7), F(5, 7))
+    rep = RG.regulator_report(a, b, 7)
+    assert rep.g_lvalue == RG.goncharov_lvalue(a, b)
+    assert rep.beilinson == RG.beilinson(a, b, 7)
+    with pytest.raises(ValueError):
+        RG.regulator_report(a, b, 5)  # not 5-torsion

@@ -13,7 +13,8 @@ Subcommands:
 Rationals are parsed as ``p/q`` strings, never floats.  Output is
 deterministic for a fixed configuration (maps are emitted sorted, floats
 via repr).  The environment variable ``MEVREG_PRECISION`` selects the
-mpmath working precision used by the dilogarithm backend.
+mpmath working precision used by the dilogarithm backend; a value that is
+not a positive integer is an input error (exit status 2).
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from mevreg import identities as identities_mod
 from mevreg.mellin import im_i_direct, im_i_rz
 from mevreg.mev import lambda_mev
 from mevreg.regulator import k2_regulator, regulator_report
+from mevreg.specfun import mp_precision
 
 __all__ = ["main", "RunConfig"]
 
@@ -278,6 +280,15 @@ def _cmd_verify(args) -> int:
             )
             status = 1
             continue
+        if not reports:
+            table.append(
+                {
+                    "suite": name,
+                    "identity": "no instance",
+                    "error": f"suite {name} has no admissible instance at level {level}",
+                }
+            )
+            status = 1
         for rep in reports:
             entry = {"suite": name, **rep.to_dict()}
             entry["pass"] = bool(rep.residual < args.tol)
@@ -348,6 +359,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        mp_precision()  # a malformed MEVREG_PRECISION fails before any work
         return args.func(args)
     except (ValueError, ArithmeticError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -43,8 +43,8 @@ import numpy as np
 
 from mevreg.specfun import (
     bernoulli_poly,
-    e2pi,
     periodic_zeta,
+    roots_of_unity,
 )
 
 __all__ = [
@@ -448,11 +448,13 @@ def _accumulate_e_branch(terms, k, n_res, x2, L, jmax, sign, conj):
 
     n = i/L runs over grid indices i; the exponent mn sits at index m*i.
     """
+    q, p = x2.denominator, -x2.numerator if conj else x2.numerator
+    roots = roots_of_unity(q)
     i = int(n_res * L) if n_res != 0 else L
     while i <= jmax:
         nk = (i / L) ** (k - 1)
         for m in range(1, jmax // i + 1):
-            phase = e2pi(-m * x2 if conj else m * x2)
+            phase = roots[m * p % q]
             key = (m * i, 0)
             terms[key] = terms.get(key, 0.0) + sign * phase * nk
         i += L
@@ -586,9 +588,11 @@ def h_series(
     if a0 != 0:
         terms[(0, 0)] = complex(a0)
     sign = float((-1) ** k)
+    q = math.lcm(x.x1.denominator, x.x2.denominator)
+    roots, p1, p2 = roots_of_unity(q), int(x.x1 * q), int(x.x2 * q)
     for m in range(1, jmax + 1):
         for n in range(1, jmax // m + 1):
-            phase = e2pi(m * x.x1 + n * x.x2)
+            phase = roots[(m * p1 + n * p2) % q]
             c = (phase + sign * phase.conjugate()) * float(n) ** (k - 1)
             key = (m * n, 0)
             terms[key] = terms.get(key, 0.0) + c
@@ -620,11 +624,13 @@ def log_siegel_series(
         terms[(0, 0)] = complex(
             math.log(2.0 * math.sin(math.pi * t)), math.pi * (t - 0.5)
         )
-    for n_res, conj in ((x.x1, False), (-x.x1 % 1, True)):
+    q = x.x2.denominator
+    roots = roots_of_unity(q)
+    for n_res, p in ((x.x1, x.x2.numerator), (-x.x1 % 1, -x.x2.numerator)):
         i = int(n_res * L) if n_res != 0 else L
         while i <= jmax:
             for m in range(1, jmax // i + 1):
-                phase = e2pi(-m * x.x2 if conj else m * x.x2)
+                phase = roots[m * p % q]
                 key = (m * i, 0)
                 terms[key] = terms.get(key, 0.0) - phase / m
             i += L

@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Callable, Optional, Sequence
 
 from mevreg.eisenstein import (
@@ -44,7 +45,6 @@ from mevreg.regint import (
     AdmissibleForm,
     modular_letter,
     mul_series,
-    one_series,
     word_integral_zero_to_infinity,
 )
 from mevreg.specfun import (
@@ -221,15 +221,11 @@ def g_product_form(
     Each factor transforms as G^(k)(-1/tau) = (-1)^k tau^k H^(k)(tau), so the
     pullback coefficient is (-1)^{sum k} tau^{sum k - 2} times the H-product.
     """
-    inf = one_series(cutoff)
-    zero = one_series(cutoff)
-    total_k = 0
-    for k, x in factors:
-        inf = mul_series(inf, g_series(k, x, cutoff))
-        zero = mul_series(zero, h_series(k, x, cutoff))
-        total_k += k
+    total_k = sum(k for k, _ in factors)
     if total_k < 2:
         raise ValueError("total weight must be >= 2")
+    inf = reduce(mul_series, [g_series(k, x, cutoff) for k, x in factors])
+    zero = reduce(mul_series, [h_series(k, x, cutoff) for k, x in factors])
     zero = zero.shift_tau(total_k - 2).scale((-1) ** total_k)
     label = "*".join(f"G{k}{x}" for k, x in factors)
     return AdmissibleForm(inf, zero, "holomorphic", label)

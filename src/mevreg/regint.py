@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from fractions import Fraction
 from typing import Sequence
 
@@ -348,15 +348,11 @@ def merged_product_letter(
     The pullback multiplies the sigma-moved factors and shifts by
     tau^{sum k_i - 2}.
     """
-    inf = one_series(cutoff)
-    zero = one_series(cutoff)
-    total_k = 0
-    for k, x in factors:
-        inf = mul_series(inf, e_series(k, x, cutoff))
-        zero = mul_series(zero, e_series(k, sigma_param(x), cutoff))
-        total_k += k
+    total_k = sum(k for k, _ in factors)
     if total_k < 2:
         raise ValueError("total weight of a merged letter must be >= 2")
+    inf = reduce(mul_series, [e_series(k, x, cutoff) for k, x in factors])
+    zero = reduce(mul_series, [e_series(k, sigma_param(x), cutoff) for k, x in factors])
     return AdmissibleForm(
         inf,
         zero.shift_tau(total_k - 2),

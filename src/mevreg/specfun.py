@@ -1,8 +1,9 @@
 """Scalar special functions used by every closed-form evaluation.
 
-Pure, stateless, reentrant.  All functions target ~1e-12 relative accuracy
-in double precision; the module-level constants below pin the working
-parameters (they are not per-call options).
+Pure and reentrant; the only state is LRU caches of immutable values.  All
+functions target ~1e-12 relative accuracy in double precision; the
+module-level constants below pin the working parameters (they are not
+per-call options).
 
 Conventions
 -----------
@@ -15,6 +16,31 @@ Conventions
   D(z) = Im Li2(z) + arg(1-z) log|z| on the whole Riemann sphere.
 * ``upper_incomplete_gamma(s, x)`` is Gamma(s, x) for complex s and real
   x > 0.
+
+Hurwitz and periodic zeta
+-------------------------
+Both rest on one Euler-Maclaurin (EM) routine, ``_hurwitz_core``, which
+evaluates zeta_H(s, a) at a whole array of shifts a in one numpy pass, for
+Re s >= 1/2, and gives the exact Bernoulli values at nonpositive integers.
+It leaves out the pole part 1/(s-1), which is the same for every shift, so
+the sums below lose nothing to it near s = 1.  Every other s is reflected:
+
+* ``periodic_zeta(p/q, s)`` for Re s >= 1/2 and at the nonpositive integers
+  is q^{-s} sum_{j=1}^{q} e(jp/q) zeta_H(s, j/q): one batch of q shifts,
+  summed in order of j.
+* ``periodic_zeta(y, s)`` for other Re s < 1/2 uses Lerch's functional
+  equation with z = 1 - s,
+  F(y, 1-z) = Gamma(z) (2 pi)^{-z} [e^{i pi z/2} zeta_H(z, y)
+  + e^{-i pi z/2} zeta_H(z, 1-y)]: one batch of two shifts, whatever q is.
+* ``hurwitz_zeta(p/q, s)`` for Re s < 1/2 off the integers uses Hurwitz's
+  formula, which needs F(±p/q, 1-s): one batch of the q shifts j/q at
+  z = 1 - s, read through the two rows e(±jp/q) of the discrete Fourier
+  transform.
+
+The work is linear in q; no q x q table is formed.  The roots of unity
+e(j/q) come from ``roots_of_unity(q)``, a bounded LRU cache that the series
+generators in ``eisenstein`` share; entry j equals ``e2pi(Fraction(j, q))``
+bit for bit.
 """
 
 from __future__ import annotations
@@ -26,6 +52,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import mpmath
+import numpy as np
 from scipy.special import digamma as _digamma
 from scipy.special import exp1 as _exp1
 from scipy.special import gamma as _gamma
@@ -42,7 +69,9 @@ __all__ = [
     "gamma_fn",
     "hurwitz_zeta",
     "hurwitz_zeta_laurent_at_1",
+    "mp_precision",
     "periodic_zeta",
+    "roots_of_unity",
     "upper_incomplete_gamma",
     "upper_incomplete_gamma_ex",
 ]
@@ -87,7 +116,15 @@ _BERNOULLI_EVEN = (
     Fraction(8553103, 6),
 )
 
-_MP_DPS = int(os.environ.get("MEVREG_PRECISION", "30"))
+# Tables of the Euler-Maclaurin formula in _hurwitz_core, j = 1..J: the
+# summation rows n = 0..M, B_{2j}/(2j)!, the Pochhammer steps 0..2J-2 and
+# the exponents 1-2j.
+_EM_ROWS = np.arange(_EM_SPLIT + 1)[:, None]
+_EM_COEFFS = np.array(
+    [float(b / math.factorial(2 * j)) for j, b in enumerate(_BERNOULLI_EVEN[:_EM_TERMS], 1)]
+)
+_EM_STEPS = np.arange(2 * _EM_TERMS - 1)
+_EM_ODD_POWERS = -np.arange(1, 2 * _EM_TERMS, 2)[:, None]
 
 
 def bernoulli_number(n: int) -> Fraction:
@@ -115,14 +152,14 @@ def bernoulli_poly(k: int, t: float | Fraction) -> float:
     """Value of the k-th Bernoulli polynomial B_k(t), 1 <= k <= 6."""
     if not 1 <= k <= 6:
         raise ValueError(f"bernoulli_poly supports 1 <= k <= 6, got {k}")
-    return _bernoulli_poly_any(k, t)
+    return _bernoulli_poly_any(k, float(t))
 
 
-def _bernoulli_poly_any(k: int, t: float | Fraction) -> float:
-    tf = float(t)
+def _bernoulli_poly_any(k: int, t):
+    """B_k(t) by Horner's rule, for a float or elementwise over a float array."""
     acc = 0.0
     for c in reversed(_bernoulli_poly_coeffs(k)):
-        acc = acc * tf + float(c)
+        acc = acc * t + float(c)
     return acc
 
 
@@ -156,71 +193,100 @@ def _frac_mod1(y: Fraction | int) -> Fraction:
     return Fraction(y) % 1
 
 
-def _is_nonpositive_int(s: complex, tol: float = 0.0) -> bool:
+def _is_nonpositive_int(s: complex) -> bool:
     return s.imag == 0.0 and s.real <= 0.0 and s.real == round(s.real)
 
 
-def _hurwitz_em(s: complex, a: float) -> complex:
-    """Euler-Maclaurin evaluation of zeta_H(s, a); stable for Re(s) >= 1/2."""
-    M = _EM_SPLIT
-    total = 0.0 + 0.0j
-    for n in range(M):
-        total += (n + a) ** (-s)
-    w = M + a
-    total += w ** (1 - s) / (s - 1)
-    total += 0.5 * w ** (-s)
-    # Correction terms B_{2j}/(2j)! * (s)_{2j-1} * w^{-s-2j+1}.
-    poch = s
-    wpow = w ** (-s - 1)
-    winv2 = 1.0 / (w * w)
-    fact = 2.0
-    for j in range(1, _EM_TERMS + 1):
-        b2j = float(_BERNOULLI_EVEN[j - 1])
-        total += (b2j / fact) * poch * wpow
-        poch *= (s + 2 * j - 1) * (s + 2 * j)
-        wpow *= winv2
-        fact *= (2 * j + 1) * (2 * j + 2)
-    return total
+@lru_cache(maxsize=32)
+def roots_of_unity(q: int) -> tuple[complex, ...]:
+    """(e(0/q), e(1/q), ..., e((q-1)/q)); entry j equals e2pi(Fraction(j, q)) bit for bit."""
+    if q < 1:
+        raise ValueError(f"roots_of_unity needs q >= 1, got {q}")
+    # e2pi's float path: j/q is float(Fraction(j, q)), both correctly rounded.
+    table = [cmath.exp(2j * math.pi * ((j / q) % 1.0)) for j in range(q)]
+    for quarter, exact in ((0, 1.0 + 0.0j), (1, 1.0j), (2, -1.0 + 0.0j), (3, -1.0j)):
+        if quarter * q % 4 == 0:
+            table[quarter * q // 4] = exact
+    return tuple(table)
 
 
-def _hurwitz_core(s: complex, a: Fraction) -> complex:
-    """zeta_H(s, a) for a in (0, 1], all s != 1."""
-    if s == 1:
-        raise PoleError("Hurwitz zeta has a simple pole at s = 1")
+def _real_pow(x: np.ndarray, z: complex) -> np.ndarray:
+    """x**z for an array x > 0 and a complex scalar z: x^Re z times e^{i Im z log x}."""
+    if z.imag == 0.0:
+        return np.power(x, z.real)
+    return np.power(x, z.real) * np.exp(1j * z.imag * np.log(x))
+
+
+def _hurwitz_core(s: complex, a: np.ndarray) -> np.ndarray:
+    """zeta_H(s, a) at every shift of the array a, less its pole part.
+
+    The shifts lie in (0, 1].  At a nonpositive integer s = -n this is the
+    exact zeta_H(-n, a) = -B_{n+1}(a)/(n+1).  Any other s needs Re s >= 1/2
+    (callers reflect the rest) and gives zeta_H(s, a) - 1/(s-1), by
+    Euler-Maclaurin with the split at n = M:
+
+        sum_{n<M} (n+a)^{-s} + (w^{1-s} - 1)/(s-1) + w^{-s}/2
+            + sum_j B_{2j}/(2j)! (s)_{2j-1} w^{-s-2j+1},   w = M + a,
+
+    for all shifts at once: one (M+1) x len(a) table of powers and one
+    (number of corrections) x len(a) table of w^{1-2j}.  Either way the
+    part left out is the same for every shift, so it cancels from periodic
+    sums.  Taking (w^{1-s} - 1)/(s-1) through expm1 keeps the result
+    accurate as s -> 1 (a Taylor series takes over within 1e-9 of it, where
+    the division would lose digits); at s = 1 the result is -psi(a).
+    """
     if _is_nonpositive_int(s):
         n = int(-s.real)
-        return complex(-_bernoulli_poly_any(n + 1, a) / (n + 1))
-    if s.real >= 0.5:
-        return _hurwitz_em(s, float(a))
-    # Reflection to Re(1-s) > 1/2 through the classical Hurwitz formula,
-    # with the periodic zeta expanded into a finite combination of Hurwitz
-    # zetas (a is rational, a = p/q):
-    #   zeta_H(s, p/q) = Gamma(1-s) (2 pi)^{s-1}
-    #       * [ e^{-i pi (1-s)/2} F(p/q, 1-s) + e^{i pi (1-s)/2} F(-p/q, 1-s) ]
-    # where F(x, z) = sum_{n>=1} e(nx) n^{-z}.
-    s2 = 1 - s
-    p, q = a.numerator, a.denominator
-    fp = _periodic_sum(p, q, s2)
-    fm = _periodic_sum((-p) % q if q > 1 else 0, q, s2)
-    pref = gamma_fn(s2) * (2.0 * math.pi) ** (-s2)
-    em = cmath.exp(-0.5j * math.pi * s2)
-    ep = cmath.exp(0.5j * math.pi * s2)
-    return pref * (em * fp + ep * fm)
+        return (-_bernoulli_poly_any(n + 1, a) / (n + 1)).astype(complex)
+    powers = _real_pow(_EM_ROWS + a, -s)
+    w = _EM_SPLIT + a
+    log_w = np.log(w)
+    if abs(s - 1) < 1e-9:
+        # Taylor series of -log(w) expm1(x)/x, x = (1-s) log w; exact at s = 1.
+        x = (1 - s) * log_w
+        pole_tail = -log_w * (1 + x / 2 + x * x / 6)
+    else:
+        pole_tail = np.expm1((1 - s) * log_w) / (s - 1)
+    poch = (s + _EM_STEPS).cumprod()[::2]  # (s)_1, (s)_3, ..., (s)_{2J-1}
+    corr = (_EM_COEFFS * poch) @ np.power(w, _EM_ODD_POWERS)
+    return powers[:_EM_SPLIT].sum(axis=0) + pole_tail + powers[_EM_SPLIT] * (0.5 + corr)
 
 
-def _periodic_sum(p: int, q: int, s: complex) -> complex:
-    """F(p/q, s) = sum_{n>=1} e(np/q) n^{-s} as q^{-s} sum_j e(jp/q) zeta_H(s, j/q)."""
+def _periodic_sum_general(p: int, q: int, s: complex, r: np.ndarray) -> complex:
+    """q^{-s} sum_{j=1}^{q} e(jp/q) r[j-1], read through one row of the DFT.
+
+    With r[j-1] = zeta_H(s, j/q) up to a part the same for every j (as
+    ``_hurwitz_core`` returns it), this is F(p/q, s) unless q divides p:
+    the roots of unity then sum to 0.  The sum runs in order of j with
+    Python complex arithmetic, so exact Bernoulli inputs give the same bits
+    on every platform (``qdump`` prints the H-series constant terms made
+    from them).
+    """
+    roots = roots_of_unity(q)
     total = 0.0 + 0.0j
-    for j in range(1, q + 1):
-        total += e2pi(Fraction(j * p, q)) * _hurwitz_em_or_exact(s, Fraction(j, q))
-    return q ** (-complex(s)) * total
+    for j, rj in enumerate(r.tolist(), start=1):
+        total += roots[j * p % q] * rj
+    return q ** (-s) * total
 
 
-def _hurwitz_em_or_exact(s: complex, a: Fraction) -> complex:
-    if _is_nonpositive_int(s):
-        n = int(-s.real)
-        return complex(-_bernoulli_poly_any(n + 1, a) / (n + 1))
-    return _hurwitz_em(s, float(a))
+def _reflect(s: complex, plus: complex, minus: complex, common: float) -> complex:
+    """Gamma(z) (2 pi)^{-z} [e^{i pi z/2} (plus + C) + e^{-i pi z/2} (minus + C)], z = 1 - s,
+
+    for the pole part C = common/(z - 1).  Its two terms add up to
+    -pi sin(x)/x * common with x = pi s/2, which stays exact as s -> 0.
+    """
+    z = 1 - s
+    bracket = cmath.exp(0.5j * math.pi * z) * plus + cmath.exp(-0.5j * math.pi * z) * minus
+    if common:
+        x = 0.5 * math.pi * s
+        bracket -= math.pi * (cmath.sin(x) / x) * common
+    return gamma_fn(z) * TWO_PI ** (-z) * bracket
+
+
+def _check_finite(value: complex, what: str) -> complex:
+    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+        raise PrecisionError(f"{what} did not evaluate finitely")
+    return value
 
 
 def hurwitz_zeta(y: Fraction | int, s: complex) -> complex:
@@ -231,10 +297,29 @@ def hurwitz_zeta(y: Fraction | int, s: complex) -> complex:
     """
     yy = _frac_mod1(y)
     a = yy if yy != 0 else Fraction(1)
-    value = _hurwitz_core(complex(s), a)
-    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-        raise PrecisionError(f"hurwitz_zeta({y}, {s}) did not evaluate finitely")
-    return value
+    s = complex(s)
+    if s == 1:
+        raise PoleError("Hurwitz zeta has a simple pole at s = 1")
+    if _is_nonpositive_int(s):
+        value = _hurwitz_core(s, np.array([float(a)])).item()
+    elif s.real >= 0.5:
+        value = _hurwitz_core(s, np.array([float(a)])).item() + 1 / (s - 1)
+    else:
+        # Hurwitz's formula with z = 1 - s, Re z > 1/2:
+        #   zeta_H(s, p/q) = Gamma(z) (2 pi)^{-z}
+        #       * [e^{-i pi z/2} F(p/q, z) + e^{i pi z/2} F(-p/q, z)];
+        # both periodic sums read one batch zeta_H(z, j/q), j = 1..q.  The
+        # pole part survives only for q = 1, where F(±1, z) = zeta(z).
+        z = 1 - s
+        p, q = a.numerator, a.denominator
+        r = _hurwitz_core(z, np.arange(1, q + 1) / q)
+        value = _reflect(
+            s,
+            _periodic_sum_general(-p, q, z, r),
+            _periodic_sum_general(p, q, z, r),
+            1.0 if q == 1 else 0.0,
+        )
+    return _check_finite(value, f"hurwitz_zeta({y}, {s})")
 
 
 def hurwitz_zeta_laurent_at_1(y: Fraction | int) -> tuple[float, float]:
@@ -259,18 +344,16 @@ def periodic_zeta(y: Fraction | int, s: complex) -> complex:
         # log(1-e(y)) = log|1-e(y)| + i pi ({y} - 1/2).
         t = float(yy)
         return complex(-math.log(2.0 * math.sin(math.pi * t)), -math.pi * (t - 0.5))
-    value = _periodic_sum_general(yy, s)
-    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-        raise PrecisionError(f"periodic_zeta({y}, {s}) did not evaluate finitely")
-    return value
-
-
-def _periodic_sum_general(yy: Fraction, s: complex) -> complex:
-    p, q = yy.numerator, yy.denominator
-    total = 0.0 + 0.0j
-    for j in range(1, q + 1):
-        total += e2pi(Fraction(j * p, q)) * _hurwitz_core(s, Fraction(j, q))
-    return q ** (-s) * total
+    if s.real >= 0.5 or _is_nonpositive_int(s):
+        p, q = yy.numerator, yy.denominator
+        value = _periodic_sum_general(p, q, s, _hurwitz_core(s, np.arange(1, q + 1) / q))
+    else:
+        # Lerch's functional equation with z = 1 - s, 0 < y < 1:
+        #   F(y, 1-z) = Gamma(z) (2 pi)^{-z}
+        #       * [e^{i pi z/2} zeta_H(z, y) + e^{-i pi z/2} zeta_H(z, 1-y)].
+        r = _hurwitz_core(1 - s, np.array([float(yy), float(1 - yy)]))
+        value = _reflect(s, *r.tolist(), 1.0)
+    return _check_finite(value, f"periodic_zeta({y}, {s})")
 
 
 # ---------------------------------------------------------------------------
@@ -278,9 +361,24 @@ def _periodic_sum_general(yy: Fraction, s: complex) -> complex:
 # ---------------------------------------------------------------------------
 
 
+def mp_precision() -> int:
+    """mpmath working digits of the dilogarithm: ``MEVREG_PRECISION``, default 30.
+
+    Raises ValueError unless the variable is a positive integer.
+    """
+    text = os.environ.get("MEVREG_PRECISION", "30")
+    try:
+        digits = int(text)
+    except ValueError:
+        digits = 0
+    if digits < 1:
+        raise ValueError(f"MEVREG_PRECISION must be a positive integer, got {text!r}")
+    return digits
+
+
 @lru_cache(maxsize=65536)
-def _bloch_wigner_cached(z: complex) -> float:
-    with mpmath.workdps(_MP_DPS):
+def _bloch_wigner_cached(z: complex, digits: int) -> float:
+    with mpmath.workdps(digits):
         li2 = mpmath.polylog(2, z)
         val = mpmath.im(li2) + mpmath.arg(1 - mpmath.mpc(z)) * mpmath.log(abs(z))
         return float(val)
@@ -298,7 +396,7 @@ def bloch_wigner(z) -> float:
         return 0.0
     if z.imag == 0.0:
         return 0.0
-    return _bloch_wigner_cached(z)
+    return _bloch_wigner_cached(z, mp_precision())
 
 
 # ---------------------------------------------------------------------------

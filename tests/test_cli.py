@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -132,3 +133,28 @@ def test_bad_input_is_one_line_error(args, capsys):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_verify_suite_without_instances_fails(capsys):
+    # at level 3 every thm1 pair has a zero coordinate, so nothing is checked
+    code, out = run_cli(["verify", "--suite", "thm1", "--level", "3"], capsys)
+    assert code == 1
+    verdicts = json.loads(out)["verdicts"]
+    assert len(verdicts) == 1
+    assert verdicts[0]["suite"] == "thm1"
+    assert "no admissible instance at level 3" in verdicts[0]["error"]
+
+
+def test_bad_precision_is_one_line_error():
+    # the variable used to be parsed while mevreg.specfun was imported
+    proc = subprocess.run(
+        [sys.executable, "-m", "mevreg.cli", "mev", "--params", "1/4,1/4"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "MEVREG_PRECISION": "abc"},
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: MEVREG_PRECISION")

@@ -3,8 +3,10 @@ import math
 import random
 from fractions import Fraction as F
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import quad
 
 from mevreg import specfun as sf
@@ -125,6 +127,118 @@ def test_periodic_at_half_is_alternating_series():
     assert abs(sf.periodic_zeta(F(1, 2), s) - ref) < 1e-10
 
 
+def test_roots_of_unity_equal_e2pi_exactly():
+    for q in list(range(1, 65)) + [96, 4096, 28672]:
+        roots = sf.roots_of_unity(q)
+        assert len(roots) == q
+        for j in range(q):
+            want = sf.e2pi(F(j, q))
+            assert roots[j] == want
+            assert math.copysign(1.0, roots[j].real) == math.copysign(1.0, want.real)
+            assert math.copysign(1.0, roots[j].imag) == math.copysign(1.0, want.imag)
+    with pytest.raises(ValueError):
+        sf.roots_of_unity(0)
+
+
+# ---------------------------------------------------------------------------
+# Hurwitz and periodic zeta against mpmath (property tests)
+# ---------------------------------------------------------------------------
+
+MP_TOL = 1e-13
+
+
+@st.composite
+def zeta_shifts(draw):
+    """y = p/q with q in 1..13 or q = 4096, p in [0, q)."""
+    q = draw(st.one_of(st.integers(1, 13), st.just(4096)))
+    return F(draw(st.integers(0, q - 1)), q)
+
+
+_real_s = st.floats(-3.0, 4.5, allow_nan=False)
+zeta_points = st.one_of(
+    _real_s,
+    st.builds(complex, _real_s, st.floats(-6.0, 6.0, allow_nan=False)),
+    # integers: the exact Bernoulli branch at s <= 0 and the poles' neighbours
+    st.integers(-3, 4).map(float),
+    # both sides of the switch line Re s = 1/2
+    st.builds(complex, st.floats(0.45, 0.55), st.floats(-2.0, 2.0)),
+)
+
+
+def _hurwitz_ref(y: F, s: complex) -> complex:
+    """mpmath's zeta_H(s, {y}) at 30 digits, at s = 0 when |s| < 1e-20.
+
+    mpmath rounds 1 - s to 1 there and divides by zero; the first-order
+    term s * d/ds is far below the tolerance.
+    """
+    a = mpmath.mpf(y.numerator) / y.denominator if y else mpmath.mpf(1)
+    with mpmath.workdps(30):
+        return complex(mpmath.zeta(mpmath.mpc(s if abs(s) >= 1e-20 else 0.0), a))
+
+
+def _periodic_ref(y: F, s: complex) -> complex:
+    """mpmath's polylog(s, e(y)), at the nearest integer n when |s - n| < 1e-20.
+
+    Near a positive integer mpmath's polylog cancels two poles and loses
+    about -log10|s - n| digits, so those are added to the 30; the periodic
+    zeta is entire for y != 0, so snapping moves it by far less than the
+    tolerance.
+    """
+    if y == 0:
+        return _hurwitz_ref(y, s)
+    n = round(complex(s).real)
+    gap = abs(s - n)
+    if gap < 1e-20:
+        s, gap = n, 1.0
+    with mpmath.workdps(30 + max(0, math.ceil(-math.log10(gap)))):
+        z = mpmath.expjpi(2 * mpmath.mpf(y.numerator) / y.denominator)
+        return complex(mpmath.polylog(mpmath.mpc(s), z))
+
+
+def _assert_mp_close(fn, y, s, ref) -> None:
+    """fn(y, s) within MP_TOL of max(1, |ref|); PrecisionError if ref overflows."""
+    ref = complex(ref)
+    if not math.isfinite(abs(ref)):
+        with pytest.raises(sf.PrecisionError):
+            fn(y, s)
+        return
+    got = fn(y, s)
+    assert abs(got - ref) <= MP_TOL * max(1.0, abs(ref)), (got, ref)
+
+
+@settings(max_examples=150, deadline=None)
+@given(zeta_shifts(), zeta_points)
+def test_hurwitz_zeta_matches_mpmath(y, s):
+    assume(s != 1)
+    _assert_mp_close(sf.hurwitz_zeta, y, s, _hurwitz_ref(y, s))
+
+
+@settings(max_examples=100, deadline=None)
+@given(zeta_shifts(), zeta_points)
+def test_periodic_zeta_matches_mpmath(y, s):
+    assume(y != 0 or s != 1)
+    # At s = -n the exact Bernoulli sum loses digits as q grows; the
+    # strict xfail below measures that at q = 4096.
+    assume(y.denominator <= 13 or not sf._is_nonpositive_int(complex(s)))
+    _assert_mp_close(sf.periodic_zeta, y, s, _periodic_ref(y, s))
+
+
+def test_periodic_reflection_at_large_denominator():
+    # Lerch's equation needs two Euler-Maclaurin values whatever q is
+    y, s = F(1, 4096), -0.5
+    _assert_mp_close(sf.periodic_zeta, y, s, _periodic_ref(y, s))
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="exact Bernoulli branch: q terms of size q^(n+1) cancel to O(1) at s = -n",
+)
+def test_periodic_zeta_bernoulli_branch_at_large_denominator():
+    # periodic_zeta(1365/4096, -3) keeps about 5 digits (relative error 1e-5)
+    y, s = F(1365, 4096), -3
+    _assert_mp_close(sf.periodic_zeta, y, s, _periodic_ref(y, s))
+
+
 # ---------------------------------------------------------------------------
 # Bloch-Wigner
 # ---------------------------------------------------------------------------
@@ -174,6 +288,23 @@ def test_bloch_wigner_five_term():
             - sf.bloch_wigner(u)
         )
         assert abs(r) < 1e-10
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5", ""])
+def test_bad_precision_is_rejected_where_used(value, monkeypatch):
+    monkeypatch.setenv("MEVREG_PRECISION", value)
+    with pytest.raises(ValueError, match="MEVREG_PRECISION"):
+        sf.mp_precision()
+    with pytest.raises(ValueError, match="MEVREG_PRECISION"):
+        sf.bloch_wigner(0.3 + 0.4j)
+
+
+def test_precision_sets_the_dilogarithm_digits(monkeypatch):
+    monkeypatch.delenv("MEVREG_PRECISION", raising=False)
+    assert sf.mp_precision() == 30
+    monkeypatch.setenv("MEVREG_PRECISION", "50")
+    assert sf.mp_precision() == 50
+    assert sf.bloch_wigner(1j) == pytest.approx(CATALAN, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------

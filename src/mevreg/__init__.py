@@ -19,7 +19,6 @@ from mevreg.eisenstein import (
     sigma_param,
 )
 from mevreg.mev import (
-    MevRequest,
     MevResult,
     lambda_general,
     lambda_mev,
@@ -48,7 +47,6 @@ __all__ = [
     "EisensteinSpec",
     "EllipticParam",
     "MellinResult",
-    "MevRequest",
     "MevResult",
     "RegulatorReport",
     "TauQSeries",

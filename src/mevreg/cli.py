@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -30,12 +29,9 @@ from mevreg.eisenstein import (
     DEFAULT_CUTOFF,
     EisensteinSpec,
     EllipticParam,
-    e_series,
-    g_series,
     gn_series,
-    h_series,
-    log_siegel_series,
     qdump_rows,
+    series_for,
 )
 from mevreg import identities as identities_mod
 from mevreg.mellin import im_i_direct, im_i_rz
@@ -43,26 +39,9 @@ from mevreg.mev import lambda_mev
 from mevreg.regulator import k2_regulator, regulator_report
 from mevreg.specfun import mp_precision
 
-__all__ = ["main", "RunConfig"]
+__all__ = ["main"]
 
 _SUITES = ("bg", "shuffle", "rz", "thm1", "thm2", "k2", "all")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    params: tuple[tuple[Fraction, Fraction], ...] = ()
-    level: Optional[int] = None
-    cutoff: Fraction = DEFAULT_CUTOFF
-    tolerance: float = 1e-7
-    output_format: str = "text"
-    output_path: Optional[str] = None
-
-    def __post_init__(self):
-        if self.tolerance < 1e-12:
-            raise ValueError("tolerance must be >= 1e-12")
-        if self.cutoff < 4:
-            raise ValueError("cutoff must be >= 4")
 
 
 def _parse_rational(text: str) -> Fraction:
@@ -143,31 +122,22 @@ def _cmd_regulator(args) -> int:
     ok = rep.residual_thm1 < args.tol and rep.residual_thm2 < args.tol
     return 0 if ok else 1
 
-_FAMILY_BUILDERS = {
-    "E": lambda k, x, cutoff: e_series(k, x, cutoff),
-    "G": lambda k, x, cutoff: g_series(k, x, cutoff),
-    "H": lambda k, x, cutoff: h_series(k, x, cutoff),
-    "logSiegel": lambda k, x, cutoff: log_siegel_series(x, cutoff),
-}
-
 
 def _cmd_qdump(args) -> int:
-    x = args.params[0] if args.params else None
+    if not args.params:
+        raise ValueError("qdump needs --params")
+    x = args.params[0]
     if args.family == "GN":
-        if args.level is None or x is None:
-            raise SystemExit("qdump of the level family needs --level and --params")
-        series = gn_series(
-            args.weight,
-            args.level,
-            (int(x.x1 * args.level), int(x.x2 * args.level)),
-            args.cutoff,
-        )
+        if args.level is None:
+            raise ValueError("qdump of the level family needs --level")
+        xbar = (x.x1 * args.level, x.x2 * args.level)
+        if any(t.denominator != 1 for t in xbar):
+            raise ValueError(f"GN parameters {x} are not on the 1/{args.level} grid")
+        series = gn_series(args.weight, args.level, tuple(map(int, xbar)), args.cutoff)
         header = f"# spec: GN^({args.weight});{args.level}_{x}"
     else:
-        if x is None:
-            raise SystemExit("qdump needs --params")
-        series = _FAMILY_BUILDERS[args.family](args.weight, x, args.cutoff)
         spec = EisensteinSpec(args.family, args.weight, x)
+        series = series_for(spec, args.cutoff)
         header = f"# spec: {spec}"
     rows = [header] + qdump_rows(series)
     _emit(None, "csv", args.out, csv_rows=rows)

@@ -360,7 +360,7 @@ class EisensteinSpec:
         if self.weight < 1:
             raise ValueError("weight must be >= 1")
         if self.family == "E" and self.weight == 2 and self.param.is_zero:
-            raise ValueError("E with k = 2 requires a nonzero parameter")
+            raise ValueError("weight 2 at the origin is excluded (not holomorphic)")
         if self.family == "H" and self.weight == 2 and self.param.x1 == 0:
             raise ValueError("H with k = 2 requires x1 != 0")
         if self.family == "logSiegel" and self.param.is_zero:
@@ -474,41 +474,44 @@ def g_series(
         raise ValueError("weight must be >= 1")
     cutoff = Fraction(cutoff)
     d1, d2 = x.x1.denominator, x.x2.denominator
-    jmax = grid_limit(d1 * d2, cutoff)
-    terms: dict[tuple[int, int], complex] = {}
-    if k == 1:
-        if x.x1 == 0 and x.x2 != 0:
-            a0 = -bernoulli_poly(1, x.x2)
-        elif x.x1 != 0 and x.x2 == 0:
-            a0 = -bernoulli_poly(1, x.x1)
-        else:
-            a0 = 0.0
-    else:
-        a0 = -bernoulli_poly(k, x.x1) / k if x.x2 == 0 else 0.0
-    if a0 != 0:
-        terms[(0, 0)] = complex(a0)
-    _accumulate_g_branch(terms, k, x.x1, x.x2, d1, d2, jmax, 1.0)
-    _accumulate_g_branch(
-        terms, k, -x.x1 % 1, -x.x2 % 1, d1, d2, jmax, float((-1) ** k)
+    terms = _g_family_terms(
+        k, x.x1.numerator, d1, x.x2.numerator, d2, grid_limit(d1 * d2, cutoff),
+        lambda i: (i / d1) ** (k - 1), bernoulli_poly,
     )
     return _from_terms(d1 * d2, terms, cutoff)
 
 
-def _accumulate_g_branch(terms, k, m_res, n_res, d1, d2, jmax, sign):
-    """Add sign * m^{k-1} q^{mn} over m ≡ m_res, n ≡ n_res (mod 1), m, n > 0.
+def _g_family_terms(k, a, d1, b, d2, jmax, power, bernoulli, scale=1):
+    """(j, 0) -> coefficient of the G family, in the number type of ``power``.
 
-    m = a/d1 and n = b/d2; the exponent mn sits at index a*b of the 1/(d1 d2) grid.
+    Sums power(i) at index j = i*e <= jmax over positive integers i ≡ a
+    (mod d1), e ≡ b (mod d2), plus (-1)^k times the same sum over i ≡ -a,
+    e ≡ -b.  For ``g_series`` m = i/d1, n = e/d2 and j is the exponent mn
+    on the 1/(d1 d2) grid; for ``gn_series`` d1 = d2 = N, m = i, n = e and
+    j sits on the 1/N grid.  Index 0 is written first, and only where a
+    constant term applies (it may be 0): -(scale * bernoulli(k, t)) / k
+    with t = a/d1, or t = b/d2 when k = 1 and a = 0.  The accumulator
+    starts from the integer 0, which adds exactly to floats and Fractions.
     """
-    a = int(m_res * d1) if m_res != 0 else d1
-    b0 = int(n_res * d2) if n_res != 0 else d2
-    while a * b0 <= jmax:
-        mk = sign * (a / d1) ** (k - 1)
-        b = b0
-        while a * b <= jmax:
-            key = (a * b, 0)
-            terms[key] = terms.get(key, 0.0) + mk
-            b += d2
-        a += d1
+    terms = {}
+    if k == 1 and (a == 0) != (b == 0):
+        t = Fraction(b, d2) if a == 0 else Fraction(a, d1)
+    elif k >= 2 and b == 0:
+        t = Fraction(a, d1)
+    else:
+        t = None
+    if t is not None:
+        terms[(0, 0)] = -(scale * bernoulli(k, t)) / k
+    for i_res, e_res, sign in ((a, b, 1), (-a % d1, -b % d2, (-1) ** k)):
+        i = i_res or d1
+        e0 = e_res or d2
+        while i * e0 <= jmax:
+            mk = sign * power(i)
+            for e in range(e0, jmax // i + 1, d2):
+                key = (i * e, 0)
+                terms[key] = terms.get(key, 0) + mk
+            i += d1
+    return terms
 
 
 @lru_cache(maxsize=4096)
@@ -524,37 +527,12 @@ def gn_series(
     """
     if k < 1 or level < 1:
         raise ValueError("weight and level must be >= 1")
-    n_lv = level
-    a, b = xbar[0] % n_lv, xbar[1] % n_lv
     cutoff = Fraction(cutoff)
-    jmax = grid_limit(n_lv, cutoff)
-    terms: dict[tuple[int, int], complex] = {}
-    if k == 1:
-        if a == 0 and b != 0:
-            a0 = -bernoulli_poly(1, Fraction(b, n_lv))
-        elif a != 0 and b == 0:
-            a0 = -bernoulli_poly(1, Fraction(a, n_lv))
-        else:
-            a0 = 0.0
-    else:
-        a0 = -(n_lv ** (k - 1)) * bernoulli_poly(k, Fraction(a, n_lv)) / k if b == 0 else 0.0
-    if a0 != 0:
-        terms[(0, 0)] = complex(a0)
-    for m_res, n_res, sign in (
-        (a, b, 1.0),
-        ((-a) % n_lv, (-b) % n_lv, float((-1) ** k)),
-    ):
-        m = m_res if m_res != 0 else n_lv
-        n_start = n_res if n_res != 0 else n_lv
-        while m * n_start <= jmax:
-            mk = sign * float(m) ** (k - 1)
-            n = n_start
-            while m * n <= jmax:
-                key = (m * n, 0)
-                terms[key] = terms.get(key, 0.0) + mk
-                n += n_lv
-            m += n_lv
-    return _from_terms(n_lv, terms, cutoff)
+    terms = _g_family_terms(
+        k, xbar[0] % level, level, xbar[1] % level, level, grid_limit(level, cutoff),
+        lambda i: float(i) ** (k - 1), bernoulli_poly, level ** (k - 1),
+    )
+    return _from_terms(level, terms, cutoff)
 
 
 @lru_cache(maxsize=4096)

@@ -27,7 +27,9 @@ from mevreg.eisenstein import (
     DEFAULT_CUTOFF,
     EllipticParam,
     TauQSeries,
+    _g_family_terms,
     e_series,
+    grid_limit,
 )
 from mevreg.mev import lambda_signed, lambda_word
 from mevreg.regint import (
@@ -93,29 +95,13 @@ def _bernoulli_exact(k: int, t: Fraction) -> Fraction:
 
 
 def _g_exact(k: int, x: EllipticParam, cutoff: Fraction) -> dict[Fraction, Fraction]:
-    terms: dict[Fraction, Fraction] = {}
-    if k == 1:
-        if x.x1 == 0 and x.x2 != 0:
-            terms[Fraction(0)] = -_bernoulli_exact(1, x.x2)
-        elif x.x1 != 0 and x.x2 == 0:
-            terms[Fraction(0)] = -_bernoulli_exact(1, x.x1)
-    elif x.x2 == 0:
-        terms[Fraction(0)] = -_bernoulli_exact(k, x.x1) / k
-    for m_res, n_res, sign in (
-        (x.x1, x.x2, 1),
-        ((-x.x1) % 1, (-x.x2) % 1, (-1) ** k),
-    ):
-        m = m_res if m_res != 0 else Fraction(1)
-        n0 = n_res if n_res != 0 else Fraction(1)
-        while m * n0 <= cutoff:
-            mk = sign * m ** (k - 1)
-            n = n0
-            while m * n <= cutoff:
-                key = m * n
-                terms[key] = terms.get(key, Fraction(0)) + mk
-                n += 1
-            m += 1
-    return terms
+    """alpha -> coefficient of ``g_series(k, x, cutoff)`` in exact rationals."""
+    d1, d2 = x.x1.denominator, x.x2.denominator
+    terms = _g_family_terms(
+        k, x.x1.numerator, d1, x.x2.numerator, d2, grid_limit(d1 * d2, cutoff),
+        lambda i: Fraction(i, d1) ** (k - 1), _bernoulli_exact,
+    )
+    return {Fraction(j, d1 * d2): c for (j, _), c in terms.items()}
 
 
 def _g_exact_product(

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from mevreg.eisenstein import DEFAULT_CUTOFF, EllipticParam
+from mevreg.eisenstein import DEFAULT_CUTOFF, EllipticParam, e_series
 from mevreg.regint import (
     AdmissibleForm,
     merged_product_letter,
@@ -27,10 +27,8 @@ from mevreg.regint import (
     siegel_letter,
     word_integral_zero_to_infinity_with_bound,
 )
-from mevreg.specfun import bernoulli_poly
 
 __all__ = [
-    "MevRequest",
     "MevResult",
     "lambda_general",
     "lambda_mev",
@@ -43,31 +41,6 @@ __all__ = [
 TWO_PI_I = 2j * math.pi
 
 _SIGN_CHANNEL = {"+": "plus", "-": "minus"}
-
-
-@dataclass(frozen=True)
-class MevRequest:
-    """A request for Lambda with optional signs / weights / tau-powers."""
-
-    params: tuple[EllipticParam, ...]
-    signs: Optional[tuple[str, ...]] = None
-    weights: Optional[tuple[int, ...]] = None
-    powers: Optional[tuple[int, ...]] = None
-    cutoff: Fraction = DEFAULT_CUTOFF
-
-    def __post_init__(self):
-        n = len(self.params)
-        if not 1 <= n <= 3:
-            raise ValueError("supported lengths are 1..3")
-        for name in ("signs", "weights", "powers"):
-            seq = getattr(self, name)
-            if seq is not None and len(seq) != n:
-                raise ValueError(f"{name} must match the number of parameters")
-        if self.weights is not None:
-            powers = self.powers or (1,) * n
-            for k, m in zip(self.weights, powers):
-                if not 1 <= m <= k - 1:
-                    raise ValueError(f"power {m} violates 1 <= m <= k-1 for k = {k}")
 
 
 @dataclass(frozen=True)
@@ -208,7 +181,7 @@ def length_drop_rhs(
     base = [(weights[i], params[i]) for i in range(n)]
     scale = (TWO_PI_I) ** n
     if p == n:
-        a0 = _e1_const(params[n - 1], kp - 1)
+        a0 = e_series(kp - 1, params[n - 1], cutoff).coeff(0, 0)
         if n == 1:
             first = a0
         else:
@@ -228,15 +201,3 @@ def length_drop_rhs(
         word = base[: p - 2] + [merged] + base[p:]
         second = lambda_word(plain_letters(word)).value
     return scale * (first - second)
-
-
-def _e1_const(x: EllipticParam, k: int) -> complex:
-    """Regularised value at infinity of E^(k)_x (its constant term)."""
-    if k == 1:
-        if x.x1 != 0:
-            return complex(float(x.x1) - 0.5)
-        if x.x2 != 0:
-            t = math.tan(math.pi * float(x.x2))
-            return complex(0.0, -0.5 / t)
-        return 0.0 + 0.0j
-    return complex(bernoulli_poly(k, x.x1) / k)

@@ -57,7 +57,6 @@ from mevreg.eisenstein import (
 
 __all__ = [
     "AdmissibleForm",
-    "FormWord",
     "MAX_WORD_LENGTH",
     "antiderivative_to_infinity",
     "channel_series",
@@ -241,28 +240,7 @@ class AdmissibleForm:
         return self + other.scale(-1.0)
 
 
-@dataclass(frozen=True)
-class FormWord:
-    """An ordered word of admissible forms, length 1..4."""
-
-    letters: tuple[AdmissibleForm, ...]
-
-    def __post_init__(self):
-        if not self.letters:
-            raise ValueError("a word needs at least one letter")
-        if len(self.letters) > MAX_WORD_LENGTH:
-            raise ValueError(f"words longer than {MAX_WORD_LENGTH} are not supported")
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def __iter__(self):
-        return iter(self.letters)
-
-
 def _letters_of(word) -> tuple[AdmissibleForm, ...]:
-    if isinstance(word, FormWord):
-        return word.letters
     letters = tuple(word)
     if not letters or len(letters) > MAX_WORD_LENGTH:
         raise ValueError("word length must be between 1 and 4")
@@ -374,20 +352,24 @@ def word_integral_to_infinity(word) -> TauQSeries:
     infinity is zero.
     """
     letters = _letters_of(word)
-    acc = one_series(min(l.inf_side.cutoff for l in letters))
-    for letter in reversed(letters):
-        acc = antiderivative_to_infinity(mul_series(letter.inf_side, acc)).scale(-1.0)
-    return acc
+    cutoff = min(l.inf_side.cutoff for l in letters)
+    return _suffix_integrals([l.inf_side for l in letters], cutoff)[0]
 
 
 def _suffix_integrals(series_list: Sequence[TauQSeries], cutoff) -> list[TauQSeries]:
-    """[S_0..S_n] with S_j the series of int_tau^oo over the suffix starting at j."""
+    """[S_0..S_n] with S_j the series of int_tau^oo over the suffix starting at j.
+
+    The last series is integrated as it is, cut to ``cutoff``: a letter may
+    carry a larger cutoff than the word.
+    """
     n = len(series_list)
     out = [one_series(cutoff)] * (n + 1)
-    acc = one_series(cutoff)
+    last = series_list[-1]
+    integrand = TauQSeries.from_grid(last.L, *last.on_grid(last.L, cutoff), cutoff)
     for j in range(n - 1, -1, -1):
-        acc = antiderivative_to_infinity(mul_series(series_list[j], acc)).scale(-1.0)
-        out[j] = acc
+        out[j] = antiderivative_to_infinity(integrand).scale(-1.0)
+        if j:
+            integrand = mul_series(series_list[j - 1], out[j])
     return out
 
 

@@ -1,0 +1,85 @@
+"""Print one sha256 per CLI command over a fixed list of commands.
+
+Each digest covers the exit status, stdout and stderr of ``mevreg.cli.main``
+run in this process.  Run it against two source trees and diff the output
+to check that a change leaves the CLI output bytes alone:
+
+    PYTHONPATH=src python tests/output_digest.py > new.txt
+    PYTHONPATH=/path/to/other/src python tests/output_digest.py > old.txt
+    diff old.txt new.txt
+
+The file is not collected by pytest (its name does not start with test_).
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import sys
+
+from mevreg.cli import main
+
+PARAMS = (
+    "1/5,2/5", "0,1/3", "2/7,0", "0,0", "1/4096,3/7", "3/7,1/4096", "4103/28672,1/5",
+)
+CUTOFFS = ("4", "25/2", "12")
+# level -> parameters on its 1/N grid
+GN_PARAMS = {
+    3: ("1/3,2/3",),
+    5: ("1/5,2/5", "0,2/5", "3/5,0", "0,0"),
+    7: ("2/7,3/7",),
+    12: ("1/12,5/12", "5/12,0"),
+    4096: ("1/4096,0", "1/4096,3/4096"),
+}
+REGULATOR_PAIRS = {
+    5: (("1/5,1/5", "2/5,3/5"), ("1/5,2/5", "3/5,1/5")),
+    7: (("1/7,1/7", "2/7,3/7"),),
+    11: (("1/11,2/11", "3/11,5/11"),),
+    17: (("1/17,3/17", "5/17,2/17"),),
+}
+MEV_WORDS = (
+    "1/4,1/4", "0,1/3", "2/5,0", "1/5,2/5;3/5,1/5", "1/7,3/7;2/7,2/7;5/7,1/7",
+)
+
+
+def commands() -> list[list[str]]:
+    out = []
+    for cutoff in CUTOFFS:
+        for family in ("E", "G", "H", "logSiegel"):
+            for weight in ("1", "2", "3", "4"):
+                for params in PARAMS:
+                    out.append(["qdump", "--family", family, "--weight", weight,
+                                "--params", params, "--cutoff", cutoff])
+        for level, params_list in GN_PARAMS.items():
+            for weight in ("1", "2", "3", "4"):
+                for params in params_list:
+                    out.append(["qdump", "--family", "GN", "--weight", weight,
+                                "--level", str(level), "--params", params,
+                                "--cutoff", cutoff])
+    for level, pairs in REGULATOR_PAIRS.items():
+        for a, b in pairs:
+            out.append(["regulator", "--a", a, "--b", b, "--level", str(level)])
+    for level in ("5", "7"):
+        out.append(["verify", "--suite", "all", "--level", level])
+    out.append(["mev", "--params", *MEV_WORDS])
+    for word in MEV_WORDS:
+        out.append(["mev", "--params", word])
+    return out
+
+
+def digest(argv: list[str]) -> str:
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            status = main(argv)
+        except SystemExit as exc:
+            status = exc.code
+    blob = f"{status}\n{stdout.getvalue()}\n{stderr.getvalue()}"
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+if __name__ == "__main__":
+    for argv in commands():
+        sys.stdout.write(f"{digest(argv)}  {' '.join(argv)}\n")
+        sys.stdout.flush()

@@ -70,13 +70,8 @@ def test_verify_all_exit_status_reflects_tolerance(capsys):
     code_bad, _ = run_cli(
         ["verify", "--suite", "rz", "--level", "5", "--tol", "1e-12"], capsys
     )
-    # residuals are ~1e-16 here, so even 1e-12 passes; use thm1 with an
-    # impossible bound through the CLI config guard instead
+    # residuals are ~1e-16 here, so even 1e-12 passes
     assert code_bad == 0
-    with pytest.raises(ValueError):
-        from mevreg.cli import RunConfig
-
-        RunConfig(command="verify", tolerance=1e-13)
 
 
 def test_qdump_format(capsys):
@@ -124,6 +119,12 @@ def test_console_entry_point_runs():
         ["mev", "--params", "1/5,2/5", "--cutoff", "-3"],
         # a truncation bound above the reporting ceiling raises ArithmeticError
         ["regulator", "--a", "1/5,2/5", "--b", "2/5,1/5", "--cutoff", "3"],
+        # parameters off the 1/N grid used to dump the series of a grid point
+        ["qdump", "--family", "GN", "--level", "5", "--params", "1/3,1/5"],
+        # a missing --level or --params used to end in SystemExit with status 1
+        ["qdump", "--family", "GN", "--params", "1/5,2/5"],
+        ["qdump", "--family", "GN", "--level", "5"],
+        ["qdump", "--family", "G"],
     ],
 )
 def test_bad_input_is_one_line_error(args, capsys):

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mevreg.eisenstein import (
     EisensteinSpec,
@@ -196,18 +197,26 @@ def test_g_series_alpha_minus_alpha_vanishes():
     assert g_series(1, X(F(1, 5), F(4, 5))).max_abs_coeff() < 1e-15
 
 
-def test_gn_series_scaling_identity():
-    # G^(k)_{x/N}(N tau) = N^{1-k} G^(k);N_x, all coefficients exact
-    for k, n_lv, (a, b) in [(1, 5, (1, 2)), (2, 5, (3, 1)), (3, 4, (1, 3))]:
-        g = g_series(k, X(F(a, n_lv), F(b, n_lv)))
-        lhs = TauQSeries(
-            {(alpha * n_lv, m): c for (alpha, m), c in g.terms.items()},
-            g.cutoff * n_lv,
-        )
-        rhs = gn_series(k, n_lv, (a, b), g.cutoff * n_lv).scale(
-            float(n_lv) ** (1 - k)
-        )
-        assert series_max_diff(lhs, rhs) < 1e-13
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(2, 17).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(0, n - 1), st.integers(0, n - 1))
+    ),
+    st.integers(1, 4),
+    st.sampled_from([F(4), F(25, 2)]),
+)
+def test_gn_series_scaling_identity(point, k, cutoff):
+    # G^(k)_{x/N}(N tau) = N^{1-k} G^(k);N_x, every coefficient to 1e-13 relative
+    n_lv, a, b = point
+    g = g_series(k, X(F(a, n_lv), F(b, n_lv)), cutoff)
+    lhs = TauQSeries(
+        {(alpha * n_lv, m): c for (alpha, m), c in g.terms.items()},
+        g.cutoff * n_lv,
+    )
+    rhs = gn_series(k, n_lv, (a, b), g.cutoff * n_lv).scale(float(n_lv) ** (1 - k))
+    assert set(lhs.terms) == set(rhs.terms)
+    for key, c in lhs.terms.items():
+        assert abs(rhs.terms[key] - c) <= 1e-13 * abs(c), key
 
 
 def test_gn_series_constant_terms():

@@ -20,14 +20,6 @@ LAMBDA_DOUBLE_15_25__35_15 = 0.14276282032116142 - 0.12598096120231564j
 
 def test_request_validation():
     with pytest.raises(ValueError):
-        M.MevRequest(params=(X(F(1, 5), F(1, 5)),) * 4)
-    with pytest.raises(ValueError):
-        M.MevRequest(params=(X(F(1, 5), F(1, 5)),), signs=("+", "-"))
-    with pytest.raises(ValueError):
-        M.MevRequest(
-            params=(X(F(1, 5), F(1, 5)),), weights=(3,), powers=(3,)
-        )  # m > k-1
-    with pytest.raises(ValueError):
         M.MevResult(value=0j, truncation_bound=-1.0, word_echo="")
 
 

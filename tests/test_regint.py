@@ -125,10 +125,9 @@ def test_evaluate_at():
 def test_word_length_validation():
     letter = R.siegel_letter(X(F(1, 5), F(2, 5)))
     with pytest.raises(ValueError):
-        R.FormWord(())
+        R.word_integral_zero_to_infinity([])
     with pytest.raises(ValueError):
-        R.FormWord((letter,) * 5)
-    assert len(R.FormWord((letter, letter))) == 2
+        R.word_integral_zero_to_infinity([letter] * 5)
 
 
 def test_single_letter_word_is_minus_antiderivative():

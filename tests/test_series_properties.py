@@ -1,7 +1,10 @@
 """Property tests of the grid series kernels against plain dict references.
 
 The references below are the straightforward dict-of-Fraction algorithms:
-a double loop over the (alpha, m) -> coefficient maps.  The kernels run in
+a double loop over the (alpha, m) -> coefficient maps.  The float G series
+is also checked, each coefficient to 1e-13 relative, against the
+exact-rational coefficients of the same generator, which the ``bg``
+identity checks use.  The kernels run in
 numpy on the integer grid, so agreement is required to 1e-13 relative to the largest
 coefficient, with identical key sets once exact zeros are removed; a value
 at a point must agree to 1e-13 relative to the sum of its term magnitudes.
@@ -12,7 +15,8 @@ from fractions import Fraction as F
 
 from hypothesis import given, settings, strategies as st
 
-from mevreg.eisenstein import EisensteinSpec, EllipticParam, TauQSeries, series_for
+from mevreg.eisenstein import EisensteinSpec, EllipticParam, TauQSeries, g_series, series_for
+from mevreg.identities import _g_exact
 from mevreg import regint as R
 
 TWO_PI_I = 2j * math.pi
@@ -111,6 +115,14 @@ def random_series(draw):
 any_series = st.one_of(eisenstein_series(), random_series())
 
 
+@st.composite
+def g_family_inputs(draw):
+    """(k, x, cutoff) with x on the 1/N grid, zero coordinates included."""
+    n = draw(levels)
+    x = EllipticParam(F(draw(st.integers(0, n - 1)), n), F(draw(st.integers(0, n - 1)), n))
+    return draw(st.integers(1, 4)), x, draw(st.sampled_from([F(4), F(25, 2)]))
+
+
 # ---------------------------------------------------------------------------
 # properties
 # ---------------------------------------------------------------------------
@@ -148,3 +160,14 @@ def test_sum_and_scale_match_dict_reference(a, b):
             ref[key] = ref.get(key, 0.0) - 0.5 * c
     ref = {k: c for k, c in ref.items() if c != 0}
     assert_matches(a - b.scale(0.5), ref)
+
+
+@settings(max_examples=80, deadline=None)
+@given(g_family_inputs())
+def test_g_series_matches_exact_generator(inputs):
+    k, x, cutoff = inputs
+    exact = {(alpha, 0): c for alpha, c in _g_exact(k, x, cutoff).items() if c != 0}
+    got = g_series(k, x, cutoff)
+    assert set(got.terms) == set(exact)
+    for key, c in exact.items():
+        assert abs(got.terms[key] - float(c)) <= REL_TOL * abs(float(c)), key

@@ -14,13 +14,15 @@ Rationals are parsed as ``p/q`` strings, never floats.  Output is
 deterministic for a fixed configuration (maps are emitted sorted, floats
 via repr).  The environment variable ``MEVREG_PRECISION`` selects the
 mpmath working precision used by the dilogarithm backend; a value that is
-not a positive integer is an input error (exit status 2).
+not a positive integer is an input error (exit status 2), and so is a
+``--tol`` that is not finite and positive.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from typing import Optional
@@ -126,6 +128,8 @@ def _cmd_regulator(args) -> int:
 def _cmd_qdump(args) -> int:
     if not args.params:
         raise ValueError("qdump needs --params")
+    if len(args.params) > 1:
+        raise ValueError(f"qdump takes one --params pair, got {len(args.params)}")
     x = args.params[0]
     if args.family == "GN":
         if args.level is None:
@@ -330,6 +334,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         mp_precision()  # a malformed MEVREG_PRECISION fails before any work
+        if not (math.isfinite(args.tol) and args.tol > 0):
+            raise ValueError(f"--tol must be finite and positive, got {args.tol!r}")
         return args.func(args)
     except (ValueError, ArithmeticError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -14,8 +14,16 @@ Conventions
   e(t) = exp(2*pi*i*t), continued to all s (all s != 1 when y ≡ 0).
 * ``bloch_wigner(z)`` is the single-valued dilogarithm
   D(z) = Im Li2(z) + arg(1-z) log|z| on the whole Riemann sphere.
+* ``gamma_fn(s)`` is Euler's Gamma for complex s, with a
+  :class:`PoleError` at 0, -1, -2, ...
 * ``upper_incomplete_gamma(s, x)`` is Gamma(s, x) for complex s and real
   x > 0.
+
+Everything is computed here, from numpy, mpmath (the dilogarithm only) and
+the standard library.  Gamma is ``math.gamma`` on the real axis and
+Stirling's series elsewhere; the exponential integral E1, the order-0 step
+of the incomplete gamma, is a port of the routine scipy uses and equals
+``scipy.special.exp1`` bit for bit.
 
 Hurwitz and periodic zeta
 -------------------------
@@ -53,9 +61,6 @@ from functools import lru_cache
 
 import mpmath
 import numpy as np
-from scipy.special import digamma as _digamma
-from scipy.special import exp1 as _exp1
-from scipy.special import gamma as _gamma
 
 __all__ = [
     "PoleError",
@@ -179,9 +184,44 @@ def e2pi(x: Fraction | float) -> complex:
     return cmath.exp(2j * math.pi * t)
 
 
+# Stirling's series for log Gamma: the coefficients B_2j / (2j (2j-1)),
+# j = 1..8, used once |z| >= _STIRLING_MIN, where the first omitted term is
+# below 1e-17 relative.
+_STIRLING = tuple(
+    float(b / (2 * j * (2 * j - 1))) for j, b in enumerate(_BERNOULLI_EVEN[:8], 1)
+)
+_STIRLING_MIN = 12.0
+_HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
+
+
 def gamma_fn(s: complex) -> complex:
-    """Euler Gamma for complex argument (scipy backend)."""
-    return complex(_gamma(complex(s)))
+    """Euler Gamma for complex argument.
+
+    On the real axis this is ``math.gamma``; elsewhere Stirling's series
+    after an upward shift to |z| >= 12, and the reflection formula
+    pi / (sin(pi s) Gamma(1 - s)) below Re s = 1/2.  Raises
+    :class:`PoleError` at 0, -1, -2, ... and ``OverflowError`` where a real
+    value exceeds the double range (s > 171.6).
+    """
+    s = complex(s)
+    if s.imag == 0.0:
+        if _is_nonpositive_int(s):
+            raise PoleError(f"Gamma has a pole at s = {s.real:g}")
+        return complex(math.gamma(s.real))
+    if s.real < 0.5:
+        # sin(pi s) = (-1)^n sin(pi (s - n)): exact s - n keeps the digits
+        # next to a pole.
+        n = round(s.real)
+        sine = cmath.sin(math.pi * (s - n))
+        return math.pi / ((-sine if n % 2 else sine) * gamma_fn(1.0 - s))
+    z, shift = s, 1.0
+    while abs(z) < _STIRLING_MIN:
+        shift *= z
+        z += 1.0
+    inv, inv2, tail = 1.0 / z, 1.0 / (z * z), 0.0
+    for c in reversed(_STIRLING):
+        tail = tail * inv2 + c
+    return cmath.exp((z - 0.5) * cmath.log(z) - z + _HALF_LOG_TWO_PI + tail * inv) / shift
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +370,7 @@ def hurwitz_zeta_laurent_at_1(y: Fraction | int) -> tuple[float, float]:
     """
     yy = _frac_mod1(y)
     a = float(yy) if yy != 0 else 1.0
-    return 1.0, float(-_digamma(a))
+    return 1.0, _hurwitz_core(1.0 + 0.0j, np.array([a])).real.item()
 
 
 def periodic_zeta(y: Fraction | int, s: complex) -> complex:
@@ -441,6 +481,30 @@ def _gamma_lower_series(s: complex, x: float) -> complex:
         if abs(term) < 1e-17 * abs(total):
             break
     return cmath.exp(-x + s * math.log(x)) * total
+
+
+def _exp1(x: float) -> float:
+    """Exponential integral E1(x) for x > 0: routine E1XB of Zhang and Jin,
+    *Computation of Special Functions* (1996).
+
+    The power series for x <= 1, the backward continued fraction with
+    20 + 80/x steps above; operation for operation this is scipy's
+    ``special.exp1``, and gives its bits.
+    """
+    if x <= 1.0:
+        e1 = r = 1.0
+        for k in range(1, 26):
+            r = -r * k * x / ((k + 1.0) * (k + 1.0))
+            e1 += r
+            if abs(r) <= abs(e1) * 1e-15:
+                break
+        # Euler's constant as the double scipy's compiled routine holds; the
+        # literal ...328 differs from scipy in the last bit at most x <= 1.
+        return -0.5772156649015329 - math.log(x) + x * e1
+    t0 = 0.0
+    for k in range(20 + int(80.0 / x), 0, -1):
+        t0 = k / (1.0 + k / (x + t0))
+    return math.exp(-x) * (1.0 / (x + t0))
 
 
 @lru_cache(maxsize=200000)

@@ -125,6 +125,17 @@ def test_console_entry_point_runs():
         ["qdump", "--family", "GN", "--params", "1/5,2/5"],
         ["qdump", "--family", "GN", "--level", "5"],
         ["qdump", "--family", "G"],
+        # a second pair used to be ignored with exit status 0
+        ["qdump", "--family", "G", "--params", "1/5,2/5", "1/3,1/3"],
+        # a tolerance that is not finite and positive used to fail (nan, -1)
+        # or pass (inf) every check
+        ["verify", "--suite", "rz", "--level", "5", "--tol", "nan"],
+        ["verify", "--suite", "rz", "--level", "5", "--tol", "-1"],
+        ["verify", "--suite", "rz", "--level", "5", "--tol", "inf"],
+        ["verify", "--suite", "rz", "--level", "5", "--tol", "0"],
+        ["regulator", "--a", "1/5,2/5", "--b", "2/5,1/5", "--tol", "nan"],
+        ["regulator", "--a", "1/5,2/5", "--b", "2/5,1/5", "--tol", "-1"],
+        ["regulator", "--a", "1/5,2/5", "--b", "2/5,1/5", "--tol", "inf"],
     ],
 )
 def test_bad_input_is_one_line_error(args, capsys):

@@ -1,13 +1,16 @@
 import cmath
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.integrate import quad
+from scipy.special import exp1
 
 from mevreg import specfun as sf
 
@@ -36,6 +39,70 @@ def test_bernoulli_reflection():
             lhs = sf.bernoulli_poly(k, 1.0 - t)
             rhs = (-1) ** k * sf.bernoulli_poly(k, t)
             assert lhs == pytest.approx(rhs, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Gamma and E1
+# ---------------------------------------------------------------------------
+
+
+def _gamma_rel_err(s: complex) -> float:
+    with mpmath.workdps(30):
+        ref = mpmath.gamma(mpmath.mpc(s))
+        return float(abs((sf.gamma_fn(s) - ref) / ref))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(-3.9, 8.0))
+@example(3.0)
+@example(0.5)
+@example(-2.0000000000000004)
+def test_gamma_fn_real_axis_matches_mpmath(x):
+    # Gamma(x) ~ 1/x overflows the double range for |x| below about 5.6e-309
+    assume(abs(x) > 1e-300 and not sf._is_nonpositive_int(complex(x)))
+    assert _gamma_rel_err(x) <= 2e-15
+    assert sf.gamma_fn(x).imag == 0.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(-4.0, 8.0), st.floats(-20.0, 20.0))
+@example(-3.99, 1e-3)
+@example(0.4999, 0.01)
+@example(8.0, 20.0)
+def test_gamma_fn_complex_matches_mpmath(re, im):
+    s = complex(re, im)
+    # at least 0.01 from a pole
+    assume(re > 0.01 or abs(s - round(re)) >= 0.01)
+    assert _gamma_rel_err(s) <= 3e-14
+
+
+def test_gamma_fn_poles():
+    for s in (0, -1, -3, complex(-2, 0)):
+        with pytest.raises(sf.PoleError):
+            sf.gamma_fn(s)
+    with pytest.raises(OverflowError):
+        sf.gamma_fn(172.0)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.floats(1e-300, 745.0))
+@example(1e-300)
+@example(1.0)
+@example(1.0000000000000002)
+@example(745.0)
+def test_exp1_is_scipy_bit_for_bit(x):
+    assert sf._exp1(x) == float(exp1(x))
+
+
+def test_import_does_not_load_scipy():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, mevreg, mevreg.cli; print('scipy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,10 @@ Rationals are parsed as ``p/q`` strings, never floats.  Output is
 deterministic for a fixed configuration (maps are emitted sorted, floats
 via repr).  The environment variable ``MEVREG_PRECISION`` selects the
 mpmath working precision used by the dilogarithm backend; a value that is
-not a positive integer is an input error (exit status 2), and so is a
-``--tol`` that is not finite and positive.
+not a positive integer is an input error (exit status 2), and so are a
+``--tol`` that is not finite and positive, a ``--level`` below 2, and a
+flag the subcommand would ignore (``--tol`` and ``--level`` on ``mev``,
+``--tol`` on ``qdump``, ``--level`` on ``qdump`` outside the GN family).
 """
 
 from __future__ import annotations
@@ -100,6 +102,8 @@ def _as_text(payload) -> str:
 
 
 def _cmd_mev(args) -> int:
+    if args.tol is not None or args.level is not None:
+        raise ValueError("mev takes neither --tol nor --level")
     results = []
     for word_text in args.params:
         word = _parse_word(word_text)
@@ -130,6 +134,10 @@ def _cmd_qdump(args) -> int:
         raise ValueError("qdump needs --params")
     if len(args.params) > 1:
         raise ValueError(f"qdump takes one --params pair, got {len(args.params)}")
+    if args.tol is not None:
+        raise ValueError("qdump does not take --tol")
+    if args.level is not None and args.family != "GN":
+        raise ValueError(f"--level applies to the GN family only, not to {args.family}")
     x = args.params[0]
     if args.family == "GN":
         if args.level is None:
@@ -233,7 +241,7 @@ def _suite_k2(level: int, cutoff: Fraction) -> list:
 
 
 def _cmd_verify(args) -> int:
-    level = args.level or 5
+    level = 5 if args.level is None else args.level
     suites = {
         "bg": lambda: _suite_bg(level, args.cutoff),
         "shuffle": lambda: _suite_shuffle(level, args.cutoff),
@@ -292,9 +300,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, tol=None):
         p.add_argument("--cutoff", type=_parse_rational, default=DEFAULT_CUTOFF)
-        p.add_argument("--tol", type=float, default=1e-7)
+        p.add_argument("--tol", type=float, default=tol)
         p.add_argument("--format", choices=("json", "csv", "text"), default="json")
         p.add_argument("--out", default=None)
         p.add_argument("--level", type=int, default=None)
@@ -312,7 +320,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("regulator", help="two-pipeline regulator report")
     p.add_argument("--a", type=_parse_pair, required=True)
     p.add_argument("--b", type=_parse_pair, required=True)
-    common(p)
+    common(p, tol=1e-7)
     p.set_defaults(func=_cmd_regulator)
 
     p = sub.add_parser("qdump", help="CSV dump of a q-expansion")
@@ -324,7 +332,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", choices=_SUITES, required=True)
-    common(p)
+    common(p, tol=1e-7)
     p.set_defaults(func=_cmd_verify)
     return parser
 
@@ -334,8 +342,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         mp_precision()  # a malformed MEVREG_PRECISION fails before any work
-        if not (math.isfinite(args.tol) and args.tol > 0):
+        if args.tol is not None and not (math.isfinite(args.tol) and args.tol > 0):
             raise ValueError(f"--tol must be finite and positive, got {args.tol!r}")
+        if args.level is not None and args.level < 2:
+            raise ValueError(f"--level must be at least 2, got {args.level}")
         return args.func(args)
     except (ValueError, ArithmeticError) as exc:
         sys.stderr.write(f"error: {exc}\n")

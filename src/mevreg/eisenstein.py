@@ -216,13 +216,16 @@ class TauQSeries:
         stride = int(m.max()) + 1 if m.size else 1
         if (jmax + 1) * stride > _INT64_MAX:
             raise ValueError(f"grid keys of the 1/{L} grid overflow int64")
-        keys, slot = np.unique(j * stride + m, return_inverse=True)
-        total = np.empty(keys.size, dtype=np.complex128)
-        total.real = np.bincount(slot, weights=c.real, minlength=keys.size)
-        total.imag = np.bincount(slot, weights=c.imag, minlength=keys.size)
-        nonzero = total != 0
-        keys = keys[nonzero]
-        return cls._make(L, keys // stride, keys % stride, total[nonzero], cutoff)
+        keys, slot, span = None, j * stride + m, (jmax + 1) * stride
+        if span > 4 * c.size + 4096:  # sort a wide key range, sum a narrow one densely
+            keys, slot = np.unique(slot, return_inverse=True)
+            span = keys.size
+        total = np.empty(span, dtype=np.complex128)
+        total.real = np.bincount(slot, weights=c.real, minlength=span)
+        total.imag = np.bincount(slot, weights=c.imag, minlength=span)
+        nonzero = np.flatnonzero(total)
+        flat = nonzero if keys is None else keys[nonzero]
+        return cls._make(L, flat // stride, flat % stride, total[nonzero], cutoff)
 
     @property
     def terms(self) -> Mapping[tuple[Fraction, int], complex]:

@@ -28,6 +28,10 @@ Regularisation conventions (right-nested):
   int_0^tau w1..wk = (-1)^k int_{-1/tau}^oo wk^sigma ... w1^sigma.
   Independence of the base point is a test, not an assumption.
 
+Both word routines read the suffix integrals of a word, and their values
+at a point, from bounded LRU caches keyed by the suffix's series (hashed by
+identity) and the cutoff of the whole word: shared suffixes are built once.
+
 Real/imaginary channels: with conj_axis(f)(iy) = conj(f(iy)), the real and
 imaginary parts of a form f d(tau) restricted to the axis are again forms
 g d(tau) with g = (f - conj_axis f)/2 and g = -i (f + conj_axis f)/2
@@ -67,7 +71,6 @@ __all__ = [
     "modular_letter",
     "mul_series",
     "one_series",
-    "reg_value_at_infinity",
     "shuffle_expand",
     "siegel_letter",
     "word_integral_to_infinity",
@@ -142,11 +145,6 @@ def channel_series(f: TauQSeries, channel: str) -> TauQSeries:
     if channel == "minus":
         return (f + fc).scale(-0.5j)
     raise ValueError(f"unknown channel {channel!r}")
-
-
-def reg_value_at_infinity(f: TauQSeries) -> complex:
-    """Constant term of the polynomial part: the coefficient at (alpha=0, m=0)."""
-    return f.coeff(Fraction(0), 0)
 
 
 def antiderivative_to_infinity(omega: TauQSeries) -> TauQSeries:
@@ -353,24 +351,28 @@ def word_integral_to_infinity(word) -> TauQSeries:
     """
     letters = _letters_of(word)
     cutoff = min(l.inf_side.cutoff for l in letters)
-    return _suffix_integrals([l.inf_side for l in letters], cutoff)[0]
+    return _suffix_integral(tuple(l.inf_side for l in letters), cutoff)
 
 
-def _suffix_integrals(series_list: Sequence[TauQSeries], cutoff) -> list[TauQSeries]:
-    """[S_0..S_n] with S_j the series of int_tau^oo over the suffix starting at j.
+@lru_cache(maxsize=1024)
+def _suffix_integral(series: tuple[TauQSeries, ...], cutoff: Fraction) -> TauQSeries:
+    """Series of int_tau^oo over the suffix with coefficient series ``series``.
 
-    The last series is integrated as it is, cut to ``cutoff``: a letter may
-    carry a larger cutoff than the word.
+    ``cutoff`` is that of the whole word; a last letter may carry a larger one
+    and is cut to it before it is integrated.
     """
-    n = len(series_list)
-    out = [one_series(cutoff)] * (n + 1)
-    last = series_list[-1]
-    integrand = TauQSeries.from_grid(last.L, *last.on_grid(last.L, cutoff), cutoff)
-    for j in range(n - 1, -1, -1):
-        out[j] = antiderivative_to_infinity(integrand).scale(-1.0)
-        if j:
-            integrand = mul_series(series_list[j - 1], out[j])
-    return out
+    head = series[0]
+    if len(series) == 1:
+        integrand = TauQSeries.from_grid(head.L, *head.on_grid(head.L, cutoff), cutoff)
+    else:
+        integrand = mul_series(head, _suffix_integral(series[1:], cutoff))
+    return antiderivative_to_infinity(integrand).scale(-1.0)
+
+
+@lru_cache(maxsize=1024)
+def _suffix_value(series: tuple, cutoff: Fraction, y: float) -> tuple[complex, float]:
+    """evaluate_with_bound of the suffix integral at iy."""
+    return evaluate_with_bound(_suffix_integral(series, cutoff), y)
 
 
 def word_integral_zero_to_infinity(word, tau0_y: float = 1.0) -> complex:
@@ -390,22 +392,16 @@ def word_integral_zero_to_infinity_with_bound(
     letters = _letters_of(word)
     n = len(letters)
     cutoff = min(l.inf_side.cutoff for l in letters)
-    inf_suffix = _suffix_integrals([l.inf_side for l in letters], cutoff)
-    sigma_rev = [letters[j].zero_side for j in range(n - 1, -1, -1)]
-    zero_suffix = _suffix_integrals(sigma_rev, cutoff)
-    total = 0.0 + 0.0j
-    bound = 0.0
-    y_zero = 1.0 / tau0_y
+    inf_side = tuple(l.inf_side for l in letters)
+    zero_side = tuple(l.zero_side for l in reversed(letters))
+    total, bound = 0.0 + 0.0j, 0.0
     for k in range(n + 1):
-        if k == 0:
-            z, bz = 1.0 + 0.0j, 0.0
-        else:
-            z, bz = evaluate_with_bound(zero_suffix[n - k], y_zero)
+        z, bz, w, bw = 1.0 + 0.0j, 0.0, 1.0 + 0.0j, 0.0
+        if k:
+            z, bz = _suffix_value(zero_side[n - k :], cutoff, 1.0 / tau0_y)
             z *= (-1.0) ** k
-        if k == n:
-            w, bw = 1.0 + 0.0j, 0.0
-        else:
-            w, bw = evaluate_with_bound(inf_suffix[k], tau0_y)
+        if k < n:
+            w, bw = _suffix_value(inf_side[k:], cutoff, tau0_y)
         total += z * w
         bound += abs(z) * bw + abs(w) * bz
     return total, bound

@@ -136,6 +136,18 @@ def test_console_entry_point_runs():
         ["regulator", "--a", "1/5,2/5", "--b", "2/5,1/5", "--tol", "nan"],
         ["regulator", "--a", "1/5,2/5", "--b", "2/5,1/5", "--tol", "-1"],
         ["regulator", "--a", "1/5,2/5", "--b", "2/5,1/5", "--tol", "inf"],
+        # a level below 2 used to run level 5 (0) or the 1/-5 grid (-5)
+        ["verify", "--suite", "rz", "--level", "0"],
+        ["verify", "--suite", "rz", "--level", "-5"],
+        ["verify", "--suite", "rz", "--level", "1"],
+        ["regulator", "--a", "1/5,2/5", "--b", "2/5,1/5", "--level", "-5"],
+        ["qdump", "--family", "GN", "--level", "1", "--params", "0,0"],
+        # flags the subcommand does not read used to be ignored with exit 0
+        ["mev", "--params", "1/4,1/4", "--level", "7", "--tol", "5"],
+        ["mev", "--params", "1/4,1/4", "--tol", "1e-3"],
+        ["mev", "--params", "1/4,1/4", "--level", "7"],
+        ["qdump", "--family", "E", "--params", "1/5,2/5", "--level", "5"],
+        ["qdump", "--family", "E", "--params", "1/5,2/5", "--tol", "1e-3"],
     ],
 )
 def test_bad_input_is_one_line_error(args, capsys):

@@ -1,11 +1,17 @@
+import importlib
 import math
+import pkgutil
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import mevreg
 from mevreg.eisenstein import EllipticParam, TauQSeries, e_series, eichler_series
 from mevreg import regint as R
+from mevreg.regulator import regulator_report
 
 from oracles import eval_e2_anywhere, nested_convergent_quadrature
 
@@ -84,7 +90,7 @@ def test_antiderivative_examples():
     prim = R.antiderivative_to_infinity(omega)
     assert prim.coeff(0, 1) == pytest.approx(2.5)
     assert prim.coeff(1, 0) == pytest.approx(3.0 / TWO_PI_I)
-    assert R.reg_value_at_infinity(prim) == 0.0
+    assert prim.coeff(0, 0) == 0.0
 
 
 def test_antiderivative_inverts_derivative():
@@ -93,17 +99,15 @@ def test_antiderivative_inverts_derivative():
         f = rand_series(rng)
         prim = R.antiderivative_to_infinity(f)
         assert series_max_diff(prim.derivative(), f) < 1e-12
-        assert R.reg_value_at_infinity(prim) == 0.0
+        assert prim.coeff(0, 0) == 0.0
 
 
 def test_reg_value_examples():
-    assert R.reg_value_at_infinity(e_series(2, X(F(1, 4), F(2, 5)))) == pytest.approx(
-        -1.0 / 96.0
-    )
-    assert R.reg_value_at_infinity(eichler_series(2, X(F(1, 5), F(1, 5)))) == 0.0
+    assert e_series(2, X(F(1, 4), F(2, 5))).coeff(0, 0) == pytest.approx(-1.0 / 96.0)
+    assert eichler_series(2, X(F(1, 5), F(1, 5))).coeff(0, 0) == 0.0
     f = rand_series(random.Random(5))
     shifted = f + TauQSeries({(F(1), 0): 9.0}, f.cutoff)
-    assert R.reg_value_at_infinity(shifted) == R.reg_value_at_infinity(f)
+    assert shifted.coeff(0, 0) == f.coeff(0, 0)
 
 
 def test_evaluate_at():
@@ -145,7 +149,7 @@ def test_word_integral_derivative_property():
     inner = R.word_integral_to_infinity([l2])
     want = R.mul_series(l1.inf_side, inner).scale(-1.0)
     assert series_max_diff(outer.derivative(), want) < 1e-12
-    assert R.reg_value_at_infinity(outer) == 0.0
+    assert outer.coeff(0, 0) == 0.0
 
 
 def test_zero_side_consistency_at_i():
@@ -263,8 +267,8 @@ def test_newton_leibniz_on_eichler_products():
         < 1e-9
     )
     value = R.word_integral_zero_to_infinity([dform], 1.0)
-    f_at_inf = R.reg_value_at_infinity(prod_inf)
-    f_at_zero = R.reg_value_at_infinity(prod_zero)
+    f_at_inf = prod_inf.coeff(0, 0)
+    f_at_zero = prod_zero.coeff(0, 0)
     assert abs(value - (f_at_inf - f_at_zero)) < 1e-10
 
 
@@ -307,3 +311,134 @@ def test_parameter_differentiation_two_letters():
     second = R.word_integral_zero_to_infinity([merged])
     rhs = a0 * single - second
     assert abs(fd - rhs) < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# Shared suffix integrals
+# ---------------------------------------------------------------------------
+
+
+def fold_suffixes(series_list, cutoff):
+    """Uncached right fold: [S_0..S_{n-1}], S_j the series of int_tau^oo over
+    the suffix starting at j; the last series is cut to the word's cutoff."""
+    n = len(series_list)
+    out = [None] * n
+    last = series_list[-1]
+    integrand = TauQSeries.from_grid(last.L, *last.on_grid(last.L, cutoff), cutoff)
+    for j in range(n - 1, -1, -1):
+        out[j] = R.antiderivative_to_infinity(integrand).scale(-1.0)
+        if j:
+            integrand = R.mul_series(series_list[j - 1], out[j])
+    return out
+
+
+def fold_zero_to_infinity(letters, tau0_y=1.0):
+    """Value and bound of int_0^oo from the uncached fold, combined as in regint."""
+    n = len(letters)
+    cutoff = min(l.inf_side.cutoff for l in letters)
+    inf_suffix = fold_suffixes([l.inf_side for l in letters], cutoff)
+    zero_suffix = fold_suffixes([l.zero_side for l in reversed(letters)], cutoff)
+    total, bound = 0.0 + 0.0j, 0.0
+    for k in range(n + 1):
+        z, bz = 1.0 + 0.0j, 0.0
+        if k:
+            z, bz = R.evaluate_with_bound(zero_suffix[n - k], 1.0 / tau0_y)
+            z *= (-1.0) ** k
+        w, bw = 1.0 + 0.0j, 0.0
+        if k < n:
+            w, bw = R.evaluate_with_bound(inf_suffix[k], tau0_y)
+        total += z * w
+        bound += abs(z) * bw + abs(w) * bz
+    return total, bound
+
+
+def same_series(a, b):
+    return (
+        a.L == b.L
+        and a.cutoff == b.cutoff
+        and np.array_equal(a.j, b.j)
+        and np.array_equal(a.m, b.m)
+        and np.array_equal(a.c, b.c)
+    )
+
+
+@st.composite
+def letter_pools(draw):
+    """One to three Siegel or modular letters at levels 2..17, cutoff 4 or 25/2."""
+    pool = []
+    for _ in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(2, 17))
+        x = X(F(draw(st.integers(1, n - 1)), n), F(draw(st.integers(0, n - 1)), n))
+        cutoff = draw(st.sampled_from([F(4), F(25, 2)]))
+        if draw(st.booleans()):
+            channel = draw(st.sampled_from(["holomorphic", "plus", "minus"]))
+            pool.append(R.siegel_letter(x, channel, cutoff))
+        else:
+            k = draw(st.integers(2, 4))
+            pool.append(R.modular_letter(k, x, draw(st.integers(1, k - 1)), cutoff))
+    return pool
+
+
+@st.composite
+def words_with_repeats(draw):
+    pool = draw(letter_pools())
+    picks = st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=4)
+    return [pool[i] for i in draw(picks)], draw(st.sampled_from([1.0, 1.5]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(words_with_repeats())
+def test_shared_suffixes_match_uncached_fold(case):
+    word, tau0_y = case
+    got = R.word_integral_zero_to_infinity_with_bound(word, tau0_y)
+    assert got == fold_zero_to_infinity(word, tau0_y)
+    cutoff = min(l.inf_side.cutoff for l in word)
+    want = fold_suffixes([l.inf_side for l in word], cutoff)[0]
+    assert same_series(R.word_integral_to_infinity(word), want)
+
+
+def test_suffix_cache_keys_carry_the_word_cutoff():
+    x, y, z = X(F(1, 5), F(2, 5)), X(F(2, 7), F(1, 7)), X(F(1, 3), F(1, 4))
+    a, b = R.siegel_letter(x, cutoff=F(25, 2)), R.modular_letter(3, y, 2, F(25, 2))
+    low = R.siegel_letter(z, cutoff=F(4))
+    # (a, b) is built at cutoff 25/2 first; inside the longer word the same
+    # letters must be folded again at that word's cutoff 4
+    for word in ([a, b], [low, a, b], [a, b, low], [b, a, b]):
+        assert R.word_integral_zero_to_infinity_with_bound(word) == fold_zero_to_infinity(word)
+        cutoff = min(l.inf_side.cutoff for l in word)
+        inf = R.word_integral_to_infinity(word)
+        assert inf.cutoff == cutoff
+        assert same_series(inf, fold_suffixes([l.inf_side for l in word], cutoff)[0])
+
+
+def clear_package_caches():
+    for mod in [mevreg] + [
+        importlib.import_module(f"mevreg.{info.name}")
+        for info in pkgutil.iter_modules(mevreg.__path__)
+    ]:
+        for obj in vars(mod).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+
+
+def test_report_bytes_do_not_depend_on_cache_state():
+    a, b = X(F(1, 7), F(2, 7)), X(F(3, 7), F(2, 7))
+    clear_package_caches()
+    cold = regulator_report(a, b).to_json()
+    warm = regulator_report(a, b).to_json()
+    R._suffix_integral.cache_clear()
+    R._suffix_value.cache_clear()
+    cleared = regulator_report(a, b).to_json()
+    assert cold == warm == cleared
+
+
+def test_cached_suffix_series_are_read_only():
+    word = [R.siegel_letter(X(F(1, 5), F(2, 5))), R.siegel_letter(X(F(2, 5), F(1, 5)))]
+    first = R.word_integral_to_infinity(word)
+    assert R.word_integral_to_infinity(word) is first  # shared, not rebuilt
+    for arr in (first.j, first.m, first.c):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    with pytest.raises(AttributeError):
+        first.c = first.c.copy()

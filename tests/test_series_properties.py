@@ -12,7 +12,9 @@ at a point must agree to 1e-13 relative to the sum of its term magnitudes.
 
 import math
 from fractions import Fraction as F
+from unittest import mock
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from mevreg.eisenstein import EisensteinSpec, EllipticParam, TauQSeries, g_series, series_for
@@ -171,3 +173,53 @@ def test_g_series_matches_exact_generator(inputs):
     assert set(got.terms) == set(exact)
     for key, c in exact.items():
         assert abs(got.terms[key] - float(c)) <= REL_TOL * abs(float(c)), key
+
+
+@st.composite
+def grid_terms(draw):
+    """(L, cutoff, j, m, c) with repeated keys, exact cancellations and keys past the cutoff."""
+    n, cutoff = draw(levels), draw(st.sampled_from([F(4), F(25, 2)]))
+    jmax = math.floor(cutoff * n)
+    values = st.sampled_from([0.0, 1.0, -1.0, 0.5, 1e-300, 3.0e17, 0.1])
+    key = st.tuples(st.integers(0, jmax + 5), st.integers(0, 3))
+    keys = draw(st.lists(key, min_size=1, max_size=8))
+    entries = draw(st.lists(st.tuples(st.sampled_from(keys), values, values), max_size=60))
+    # each chosen entry is appended again negated, so its key can sum to 0
+    undo = draw(st.lists(st.sampled_from(entries), max_size=10)) if entries else []
+    entries += [(key, -re, -im) for key, re, im in undo]
+    entries = draw(st.permutations(entries))
+    j = [key[0] for key, _, _ in entries]
+    m = [key[1] for key, _, _ in entries]
+    c = [complex(re, im) for _, re, im in entries]
+    return n, cutoff, j, m, c
+
+
+def ref_grid_sum(n, cutoff, j, m, c) -> tuple[list, list, list]:
+    """Per-key sums in input order, keys past the cutoff and zero sums dropped."""
+    out = {}
+    for jj, mm, cc in zip(j, m, c):
+        if F(jj, n) <= cutoff:
+            out[(jj, mm)] = out.get((jj, mm), 0.0) + cc
+    keys = sorted(k for k, v in out.items() if v != 0)
+    return [k[0] for k in keys], [k[1] for k in keys], [out[k] for k in keys]
+
+
+@settings(max_examples=80, deadline=None)
+@given(grid_terms())
+def test_from_grid_dense_and_sorted_branches_agree(inputs):
+    n, cutoff, j, m, c = inputs
+    # the 1/n grid spans at most 213 * 4 keys, so it is summed densely; the
+    # same terms on the 1/(4096 n) grid span over 32768 keys for at most 70
+    # terms, so they go through np.unique
+    wide = 4096
+    with mock.patch.object(np, "unique", wraps=np.unique) as spy:
+        dense = TauQSeries.from_grid(n, j, m, c, cutoff)
+        assert spy.call_count == 0
+        spread = TauQSeries.from_grid(n * wide, [x * wide for x in j], m, c, cutoff)
+        assert spy.call_count == 1
+    ref_j, ref_m, ref_c = ref_grid_sum(n, cutoff, j, m, c)
+    assert dense.j.tolist() == ref_j
+    assert (spread.j // wide).tolist() == ref_j and not (spread.j % wide).any()
+    for got in (dense, spread):
+        assert got.m.tolist() == ref_m
+        assert got.c.tolist() == ref_c

@@ -80,9 +80,12 @@ def _series_residual(name: str, combo: TauQSeries) -> IdentityReport:
     return IdentityReport(name, worst, worst_key)
 
 
-# Exact-rational arithmetic for the G-family products: their coefficients
-# are rational (shifted-integer powers and Bernoulli constants), so the
-# pairwise-product identities can be checked with zero rounding.
+# Exact arithmetic for the G-family products, from the generator behind
+# ``g_series``: an ExactSeries (L, D, {j: n}) holds the coefficient n/D at
+# q^(j/L), as integer numerators over one denominator.  Products and sums
+# stay in Python ints (numpy int64 would overflow at high levels), so the
+# pairwise-product identities are checked with zero rounding.
+ExactSeries = tuple[int, int, dict[int, int]]
 
 
 def _bernoulli_exact(k: int, t: Fraction) -> Fraction:
@@ -94,39 +97,56 @@ def _bernoulli_exact(k: int, t: Fraction) -> Fraction:
     return acc
 
 
-def _g_exact(k: int, x: EllipticParam, cutoff: Fraction) -> dict[Fraction, Fraction]:
-    """alpha -> coefficient of ``g_series(k, x, cutoff)`` in exact rationals."""
+def _g_exact(k: int, x: EllipticParam, cutoff: Fraction) -> ExactSeries:
+    """``g_series(k, x, cutoff)`` in exact arithmetic, as an ExactSeries."""
     d1, d2 = x.x1.denominator, x.x2.denominator
     terms = _g_family_terms(
         k, x.x1.numerator, d1, x.x2.numerator, d2, grid_limit(d1 * d2, cutoff),
-        lambda i: Fraction(i, d1) ** (k - 1), _bernoulli_exact,
+        lambda i: i ** (k - 1), _bernoulli_exact, d1 ** (k - 1),
     )
-    return {Fraction(j, d1 * d2): c for (j, _), c in terms.items()}
+    # only the constant term can be non-integral
+    t = math.lcm(*(c.denominator for c in terms.values()))
+    return d1 * d2, d1 ** (k - 1) * t, {j: int(c * t) for (j, _), c in terms.items()}
 
 
 def _g_exact_product(
     k1: int, x1: EllipticParam, k2: int, x2: EllipticParam, cutoff: Fraction
-) -> dict[Fraction, Fraction]:
-    a = _g_exact(k1, x1, cutoff)
-    b = _g_exact(k2, x2, cutoff)
-    out: dict[Fraction, Fraction] = {}
-    for aa, ca in a.items():
-        for ab, cb in b.items():
-            alpha = aa + ab
-            if alpha > cutoff:
+) -> ExactSeries:
+    la, da, a = _g_exact(k1, x1, cutoff)
+    lb, db, b = _g_exact(k2, x2, cutoff)
+    grid = math.lcm(la, lb)
+    jmax, stride = math.floor(cutoff * grid), grid // la
+    b_terms = [(jb * (grid // lb), nb) for jb, nb in b.items()]
+    out: dict[int, int] = {}
+    # b in its generator order, which is not sorted: the keys of ``out`` are
+    # inserted in order of first appearance, and that order decides which of
+    # several equal worst terms _exact_residual names
+    for ja, na in a.items():
+        ja *= stride
+        for jb, nb in b_terms:
+            j = ja + jb
+            if j > jmax:
                 continue
-            out[alpha] = out.get(alpha, Fraction(0)) + ca * cb
-    return out
+            out[j] = out.get(j, 0) + na * nb
+    return grid, da * db, out
 
 
-def _exact_residual(name: str, combo: dict[Fraction, Fraction]) -> IdentityReport:
-    worst_key, worst = None, Fraction(0)
-    for key, c in combo.items():
-        if abs(c) > worst:
-            worst, worst_key = abs(c), key
-    return IdentityReport(
-        name, float(worst), (worst_key, 0) if worst_key is not None else None
-    )
+def _exact_residual(name: str, parts: list[tuple[int, ExactSeries]]) -> IdentityReport:
+    """Largest |coefficient| of sum(sign * series); the first reached wins ties."""
+    grid = math.lcm(*(L for _, (L, _, _) in parts))
+    den = math.lcm(*(D for _, (_, D, _) in parts))
+    combo: dict[int, int] = {}
+    for sign, (L, D, terms) in parts:
+        stride, factor = grid // L, sign * (den // D)
+        for j, n in terms.items():
+            key = j * stride
+            combo[key] = combo.get(key, 0) + factor * n
+    worst_key, worst = None, 0
+    for key, n in combo.items():
+        if abs(n) > worst:
+            worst, worst_key = abs(n), key
+    where = (Fraction(worst_key, grid), 0) if worst_key is not None else None
+    return IdentityReport(name, float(Fraction(worst, den)), where)
 
 
 # ---------------------------------------------------------------------------
@@ -179,16 +199,16 @@ def check_bg_g1(
     if (x1 + y1) % 1 == 0 or (u2 - v2) % 1 == 0:
         raise ValueError("need x1 + y1 != 0 and u2 - v2 != 0 mod 1")
     P = EllipticParam
-    combo: dict[Fraction, Fraction] = {}
-    for sign, (p1, p2) in (
-        (1, (P(x1 + y1, u2), P(y1, v2 - u2))),
-        (1, (P(y1, v2), P(x1, u2))),
-        (-1, (P(x1 + y1, v2), P(x1, u2 - v2))),
-        (-1, (P(y1, v2 - u2), P(x1 + y1, u2))),
-    ):
-        for key, c in _g_exact_product(1, p1, 2, p2, cutoff).items():
-            combo[key] = combo.get(key, Fraction(0)) + sign * c
-    return _exact_residual(f"bg_g1({x1},{y1},{u2},{v2})", combo)
+    parts = [
+        (sign, _g_exact_product(1, p1, 2, p2, cutoff))
+        for sign, (p1, p2) in (
+            (1, (P(x1 + y1, u2), P(y1, v2 - u2))),
+            (1, (P(y1, v2), P(x1, u2))),
+            (-1, (P(x1 + y1, v2), P(x1, u2 - v2))),
+            (-1, (P(y1, v2 - u2), P(x1 + y1, u2))),
+        )
+    ]
+    return _exact_residual(f"bg_g1({x1},{y1},{u2},{v2})", parts)
 
 
 def check_bg_g2(
@@ -199,15 +219,12 @@ def check_bg_g2(
     if u1 == 0:
         raise ValueError("u1 must be nonzero mod 1")
     P = EllipticParam
-    combo: dict[Fraction, Fraction] = {}
-    for sign, prod in (
+    parts = [
         (1, _g_exact_product(1, P(u1, u2), 2, P(u1, -u2), cutoff)),
         (-1, _g_exact_product(1, P(u1, -u2), 2, P(u1, u2), cutoff)),
         (-1, _g_exact(3, P(Fraction(0), u2), cutoff)),
-    ):
-        for key, c in prod.items():
-            combo[key] = combo.get(key, Fraction(0)) + sign * c
-    return _exact_residual(f"bg_g2({u1},{u2})", combo)
+    ]
+    return _exact_residual(f"bg_g2({u1},{u2})", parts)
 
 
 # ---------------------------------------------------------------------------

@@ -73,12 +73,10 @@ __all__ = [
     "e2pi",
     "gamma_fn",
     "hurwitz_zeta",
-    "hurwitz_zeta_laurent_at_1",
     "mp_precision",
     "periodic_zeta",
     "roots_of_unity",
     "upper_incomplete_gamma",
-    "upper_incomplete_gamma_ex",
 ]
 
 
@@ -362,17 +360,6 @@ def hurwitz_zeta(y: Fraction | int, s: complex) -> complex:
     return _check_finite(value, f"hurwitz_zeta({y}, {s})")
 
 
-def hurwitz_zeta_laurent_at_1(y: Fraction | int) -> tuple[float, float]:
-    """(residue, constant term) of the Laurent expansion of zeta(y, s) at s = 1.
-
-    The residue is 1; the constant term is -psi({y}) (digamma), with the
-    y ≡ 0 case giving Euler's constant.
-    """
-    yy = _frac_mod1(y)
-    a = float(yy) if yy != 0 else 1.0
-    return 1.0, _hurwitz_core(1.0 + 0.0j, np.array([a])).real.item()
-
-
 def periodic_zeta(y: Fraction | int, s: complex) -> complex:
     """sum_{n>=1} e(ny) n^{-s}, continued to all s (s != 1 when y ≡ 0)."""
     yy = _frac_mod1(y)
@@ -528,17 +515,8 @@ def _gamma_upper_cached(s: complex, x: float) -> tuple[complex, bool]:
     return val, False
 
 
-def upper_incomplete_gamma_ex(s: complex, x: float) -> tuple[complex, bool]:
-    """Gamma(s, x) = int_x^oo t^{s-1} e^{-t} dt and an underflow flag.
-
-    The flag is True when the result underflowed to exactly 0 in double
-    precision; that case is returned silently.
-    """
-    if x <= 0:
-        raise ValueError(f"upper_incomplete_gamma requires x > 0, got x = {x}")
-    return _gamma_upper_cached(complex(s), float(x))
-
-
 def upper_incomplete_gamma(s: complex, x: float) -> complex:
     """Gamma(s, x) for complex s, real x > 0 (underflow returned as 0)."""
-    return upper_incomplete_gamma_ex(s, x)[0]
+    if x <= 0:
+        raise ValueError(f"upper_incomplete_gamma requires x > 0, got x = {x}")
+    return _gamma_upper_cached(complex(s), float(x))[0]

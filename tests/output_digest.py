@@ -41,6 +41,8 @@ REGULATOR_PAIRS = {
 MEV_WORDS = (
     "1/4,1/4", "0,1/3", "2/5,0", "1/5,2/5;3/5,1/5", "1/7,3/7;2/7,2/7;5/7,1/7",
 )
+# the exact bg checks on more grids; level 12 mixes the denominators 12, 6 and 4
+BG_LEVELS = ("4", "6", "12", "13")
 
 
 def commands() -> list[list[str]]:
@@ -65,6 +67,8 @@ def commands() -> list[list[str]]:
     out.append(["mev", "--params", *MEV_WORDS])
     for word in MEV_WORDS:
         out.append(["mev", "--params", word])
+    for level in BG_LEVELS:
+        out.append(["verify", "--suite", "bg", "--level", level])
     return out
 
 

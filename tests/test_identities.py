@@ -3,8 +3,9 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from mevreg.eisenstein import EllipticParam
+from mevreg.eisenstein import EllipticParam, _g_family_terms, grid_limit
 from mevreg import identities as ID
 
 X = EllipticParam.of
@@ -77,6 +78,132 @@ def test_bg_g2_exact():
     assert ID.check_bg_g2(F(1, 5), F(0)).residual == 0.0  # degenerate u2 = 0
     with pytest.raises(ValueError):
         ID.check_bg_g2(F(0), F(2, 5))
+
+
+# ---------------------------------------------------------------------------
+# Fraction-dict oracle for the integer exact path: the G coefficients as
+# alpha -> Fraction from the same generator, and their product as a plain
+# double loop, keys inserted in order of first appearance.
+# ---------------------------------------------------------------------------
+
+
+def ref_g_exact(k, x, cutoff):
+    d1, d2 = x.x1.denominator, x.x2.denominator
+    terms = _g_family_terms(
+        k, x.x1.numerator, d1, x.x2.numerator, d2, grid_limit(d1 * d2, cutoff),
+        lambda i: F(i, d1) ** (k - 1), ID._bernoulli_exact,
+    )
+    return {F(j, d1 * d2): c for (j, _), c in terms.items()}
+
+
+def ref_g_exact_product(k1, x1, k2, x2, cutoff):
+    a, b = ref_g_exact(k1, x1, cutoff), ref_g_exact(k2, x2, cutoff)
+    out = {}
+    for aa, ca in a.items():
+        for ab, cb in b.items():
+            if aa + ab <= cutoff:
+                out[aa + ab] = out.get(aa + ab, F(0)) + ca * cb
+    return out
+
+
+def ref_exact_residual(parts):
+    """(residual, worst_term) of sum(sign * series) over alpha -> Fraction maps."""
+    combo = {}
+    for sign, series in parts:
+        for alpha, c in series.items():
+            combo[alpha] = combo.get(alpha, F(0)) + sign * c
+    worst_key, worst = None, F(0)
+    for alpha, c in combo.items():
+        if abs(c) > worst:
+            worst, worst_key = abs(c), alpha
+    return float(worst), (worst_key, 0) if worst_key is not None else None
+
+
+def as_fractions(series):
+    L, D, terms = series
+    return {F(j, L): F(n, D) for j, n in terms.items()}
+
+
+@st.composite
+def g_params(draw):
+    """A G parameter on the 1/N grid, N in 2..17, zero coordinates included."""
+    n = draw(st.integers(2, 17))
+    return X(F(draw(st.integers(0, n - 1)), n), F(draw(st.integers(0, n - 1)), n))
+
+
+cutoffs = st.sampled_from([F(4), F(7, 2), F(25, 2)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(1, 2), (2, 1), (1, 3)]), g_params(), g_params(), cutoffs)
+@example((1, 3), X(F(1, 5), F(2, 5)), X(0, F(2, 7)), F(7, 2))
+@example((1, 2), X(F(1, 12), F(5, 12)), X(F(1, 4), F(1, 6)), F(25, 2))
+def test_integer_product_matches_fraction_oracle(weights, x1, x2, cutoff):
+    k1, k2 = weights
+    for k, x in ((k1, x1), (k2, x2), (3, X(0, x2.x2))):
+        got, want = as_fractions(ID._g_exact(k, x, cutoff)), ref_g_exact(k, x, cutoff)
+        assert list(got) == list(want)
+        assert got == want
+    got = as_fractions(ID._g_exact_product(k1, x1, k2, x2, cutoff))
+    want = ref_g_exact_product(k1, x1, k2, x2, cutoff)
+    assert list(got) == list(want)  # insertion order decides ties in the residual
+    assert got == want
+
+
+def g1_products(x1, y1, u2, v2, cutoff):
+    """The four G1 * G2 products of check_bg_g1, which it signs (1, 1, -1, -1)."""
+    P = EllipticParam
+    return [
+        ID._g_exact_product(1, p1, 2, p2, cutoff)
+        for p1, p2 in (
+            (P(x1 + y1, u2), P(y1, v2 - u2)),
+            (P(y1, v2), P(x1, u2)),
+            (P(x1 + y1, v2), P(x1, u2 - v2)),
+            (P(y1, v2 - u2), P(x1 + y1, u2)),
+        )
+    ]
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.lists(st.sampled_from([-1, 1, 2]), min_size=4, max_size=4),
+    st.sampled_from([5, 7, 12, 13]),
+    cutoffs,
+)
+@example([1, 1, 1, 1], 12, F(25, 2))
+def test_exact_residual_of_non_identity_matches_fraction_reference(signs, n, cutoff):
+    products = g1_products(F(1, n), F(2, n), F(3, n), F(1, 3), cutoff)
+    # a G3 on another grid, so the parts differ in grid and denominator
+    products.append(ID._g_exact(3, X(0, F(1, 4)), cutoff))
+    signs = signs + [-1]
+    report = ID._exact_residual("combo", list(zip(signs, products)))
+    residual, worst_term = ref_exact_residual(
+        [(s, as_fractions(p)) for s, p in zip(signs, products)]
+    )
+    assert report.residual > 0
+    assert (report.residual, report.worst_term) == (residual, worst_term)
+
+
+def test_exact_residual_names_the_first_of_equal_worst_terms():
+    # this G1 has six largest coefficients, 2 each, and the generator
+    # reaches 28/3 before the smaller 7/3: the first one reached counts
+    series = ID._g_exact(1, X(0, F(2, 3)), F(12))
+    report = ID._exact_residual("g1", [(1, series)])
+    assert (report.residual, report.worst_term) == (2.0, (F(28, 3), 0))
+    assert (report.residual, report.worst_term) == ref_exact_residual(
+        [(1, as_fractions(series))]
+    )
+
+
+def test_flipping_one_sign_of_bg_g1_breaks_it():
+    args = (F(1, 7), F(2, 7), F(3, 7), F(6, 7), F(12))
+    products = g1_products(*args)
+    signs = [1, 1, -1, -1]
+    assert ID.check_bg_g1(*args).residual == 0.0
+    assert ID._exact_residual("g1", list(zip(signs, products))).residual == 0.0
+    for i in range(4):
+        flipped = [(-s if k == i else s) for k, s in enumerate(signs)]
+        assert ID._exact_residual("g1", list(zip(flipped, products))).residual > 0
 
 
 def test_dilog_sums():

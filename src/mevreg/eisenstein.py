@@ -127,13 +127,13 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def grid_limit(L: int, cutoff: Fraction) -> int:
-    """Largest grid index j with j/L <= cutoff.
+    """Largest grid index j with j/L <= cutoff (a Fraction or an int), in integers.
 
     Raises ValueError for a negative cutoff and for an index int64 cannot hold.
     """
-    if cutoff < 0:
+    if cutoff.numerator < 0:
         raise ValueError(f"series cutoff must be >= 0, got {cutoff}")
-    jmax = math.floor(cutoff * L)
+    jmax = cutoff.numerator * L // cutoff.denominator
     if jmax > _INT64_MAX:
         raise ValueError(
             f"grid index {jmax} (cutoff {cutoff} on the 1/{L} grid) overflows int64"
@@ -177,7 +177,7 @@ class TauQSeries:
 
     def _set(self, L: int, j, m, c, cutoff: Fraction) -> None:
         for arr in (j, m, c):
-            arr.flags.writeable = False
+            arr.setflags(write=False)
         for name, value in (
             ("L", L), ("j", j), ("m", m), ("c", c), ("cutoff", cutoff), ("_terms", None)
         ):
@@ -214,18 +214,31 @@ class TauQSeries:
         if j.size and (j.min() < 0 or m.min() < 0):
             raise ValueError("negative grid index or tau power")
         stride = int(m.max()) + 1 if m.size else 1
-        if (jmax + 1) * stride > _INT64_MAX:
+        return cls._from_slots(L, j * stride + m, c.real, c.imag, stride, jmax, cutoff)
+
+    @classmethod
+    def _from_slots(
+        cls, L: int, slot, re, im, stride: int, jmax: int, cutoff: Fraction
+    ) -> "TauQSeries":
+        """The accumulator behind every kernel: series of the terms re + i*im
+        at slot keys j * stride + m, with 0 <= m < stride and 0 <= j <= jmax.
+
+        Terms with equal keys are summed in input order, zero sums dropped.
+        A narrow key range is summed densely, a wide one after a sort.
+        """
+        span = (jmax + 1) * stride
+        if span > _INT64_MAX:
             raise ValueError(f"grid keys of the 1/{L} grid overflow int64")
-        keys, slot, span = None, j * stride + m, (jmax + 1) * stride
-        if span > 4 * c.size + 4096:  # sort a wide key range, sum a narrow one densely
+        keys = None
+        if span > 4 * slot.size + 4096:
             keys, slot = np.unique(slot, return_inverse=True)
             span = keys.size
         total = np.empty(span, dtype=np.complex128)
-        total.real = np.bincount(slot, weights=c.real, minlength=span)
-        total.imag = np.bincount(slot, weights=c.imag, minlength=span)
+        total.real = np.bincount(slot, weights=re, minlength=span)
+        total.imag = np.bincount(slot, weights=im, minlength=span)
         nonzero = np.flatnonzero(total)
         flat = nonzero if keys is None else keys[nonzero]
-        return cls._make(L, flat // stride, flat % stride, total[nonzero], cutoff)
+        return cls._make(L, *np.divmod(flat, stride), total[nonzero], cutoff)
 
     @property
     def terms(self) -> Mapping[tuple[Fraction, int], complex]:
@@ -246,7 +259,9 @@ class TauQSeries:
         L must be a multiple of ``self.L``.
         """
         grid_limit(L, cutoff)
-        n = int(np.searchsorted(self.j, grid_limit(self.L, cutoff), side="right"))
+        n, jcut = self.j.size, grid_limit(self.L, cutoff)
+        if n and self.j[-1] > jcut:
+            n = int(np.searchsorted(self.j, jcut, side="right"))
         j = self.j[:n] if L == self.L else self.j[:n] * (L // self.L)
         return j, self.m[:n], self.c[:n]
 

@@ -29,6 +29,7 @@ from mevreg.regint import (
 )
 
 __all__ = [
+    "MAX_MEV_LENGTH",
     "MevResult",
     "lambda_general",
     "lambda_mev",
@@ -39,6 +40,9 @@ __all__ = [
 ]
 
 TWO_PI_I = 2j * math.pi
+
+# longest word of Siegel-unit letters that lambda_mev and lambda_signed take
+MAX_MEV_LENGTH = 3
 
 _SIGN_CHANNEL = {"+": "plus", "-": "minus"}
 
@@ -86,8 +90,8 @@ def lambda_mev(
     and the boundary behaviour is deliberately left out of scope.
     """
     params = tuple(params)
-    if not 1 <= len(params) <= 3:
-        raise ValueError("supported lengths are 1..3")
+    if not 1 <= len(params) <= MAX_MEV_LENGTH:
+        raise ValueError(f"supported lengths are 1..{MAX_MEV_LENGTH}")
     for x in params:
         if x.is_zero:
             raise ValueError("zero parameter is not allowed")
@@ -109,8 +113,8 @@ def lambda_signed(
     signs = tuple(signs)
     if len(params) != len(signs):
         raise ValueError("need one sign per parameter")
-    if not 1 <= len(params) <= 3:
-        raise ValueError("supported lengths are 1..3")
+    if not 1 <= len(params) <= MAX_MEV_LENGTH:
+        raise ValueError(f"supported lengths are 1..{MAX_MEV_LENGTH}")
     letters = []
     for x, s in zip(params, signs):
         if x.is_zero:

@@ -55,7 +55,6 @@ from mevreg.eisenstein import (
     TauQSeries,
     e_series,
     grid_limit,
-    real_divide,
     sigma_param,
 )
 
@@ -91,17 +90,10 @@ MIN_EVAL_Y = 0.5
 # i^m for m mod 4
 _I_POWERS = np.array([1.0, 1.0j, -1.0, -1.0j])
 
-
-def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Elementwise a * b rounded like Python's complex product.
-
-    numpy's complex multiply may fuse multiply-adds, which moves last bits
-    and can turn an exact cancellation into a 1e-17 residue.
-    """
-    out = np.empty(np.broadcast(a, b).shape, dtype=np.complex128)
-    out.real = a.real * b.real - a.imag * b.imag
-    out.imag = a.real * b.imag + a.imag * b.real
-    return out
+# The kernels form complex products part by part, (ar br - ai bi, ar bi + ai br),
+# rounded like Python's complex product: numpy's complex multiply may fuse
+# multiply-adds, which moves last bits and can turn an exact cancellation
+# into a 1e-17 residue.
 
 
 def one_series(cutoff: Fraction = DEFAULT_CUTOFF) -> TauQSeries:
@@ -113,18 +105,29 @@ def mul_series(a: TauQSeries, b: TauQSeries) -> TauQSeries:
 
     Both factors move to the common grid lcm(La, Lb).  Only the pairs with
     j_a + j_b <= cutoff * L are formed: b is sorted by j, so for each term
-    of a they are a prefix of b.  Equal keys are summed a-major.
+    of a they are a prefix of b.  A pair's slot key j * stride + m is the sum
+    of its two terms' keys, so each factor is gathered once for keys and once
+    for coefficients; equal keys are summed a-major.
     """
     cutoff = min(a.cutoff, b.cutoff)
     L = math.lcm(a.L, b.L)
+    jmax = grid_limit(L, cutoff)
     ja, ma, ca = a.on_grid(L, cutoff)
     jb, mb, cb = b.on_grid(L, cutoff)
-    counts = np.searchsorted(jb, grid_limit(L, cutoff) - ja, side="right")
-    ia = np.repeat(np.arange(ja.size), counts)
-    ib = np.arange(ia.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    return TauQSeries.from_grid(
-        L, ja[ia] + jb[ib], ma[ia] + mb[ib], _cmul(ca[ia], cb[ib]), cutoff
-    )
+    counts = np.searchsorted(jb, jmax - ja, side="right")
+    # pair p = (a term, b term ib[p]); the a terms repeat in order
+    ib = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    stride = int(ma.max(initial=0)) + int(mb.max(initial=0)) + 1
+    slot = np.repeat(ja * stride + ma, counts)
+    slot += (jb * stride + mb)[ib]
+    ar, ai = np.repeat(ca.real, counts), np.repeat(ca.imag, counts)
+    gb = cb[ib]
+    # the parts of the products, rounded part by part
+    re = ar * gb.real
+    re -= ai * gb.imag
+    im = ar * gb.imag
+    im += ai * gb.real
+    return TauQSeries._from_slots(L, slot, re, im, stride, jmax, cutoff)
 
 
 def conj_axis(a: TauQSeries) -> TauQSeries:
@@ -158,19 +161,29 @@ def antiderivative_to_infinity(omega: TauQSeries) -> TauQSeries:
     n0 = int(np.searchsorted(j, 0, side="right"))  # the alpha = 0 terms lead
     jq, mq = j[n0:], m[n0:]
     base = 1.0 / (TWO_PI_I * (jq / omega.L))
-    # row r holds the coefficients of tau^{m_r - t} q^{alpha_r}, t = 0..m_r
+    # row r, column t: the parts of the coefficient of tau^{m_r - t} q^{alpha_r},
+    # t = 0..m_r, each product rounded part by part
     width = int(mq.max(initial=0)) + 1
-    coeff = np.empty((jq.size, width), dtype=np.complex128)
-    coeff[:, 0] = _cmul(c[n0:], base)
-    for t in range(1, width):
-        coeff[:, t] = _cmul(coeff[:, t - 1], -(mq - (t - 1)) * base)
+    re, im = np.empty((jq.size, width)), np.empty((jq.size, width))
+    xr, xi, w = c.real[n0:], c.imag[n0:], base
+    for t in range(width):
+        if t:
+            xr, xi, w = re[:, t - 1], im[:, t - 1], -(mq - (t - 1)) * base
+        re[:, t] = xr * w.real - xi * w.imag
+        im[:, t] = xr * w.imag + xi * w.real
     steps = np.arange(width)
     valid = steps <= mq[:, None]
-    return TauQSeries.from_grid(
+    # tau^{m_r - t} q^{alpha_r} sits at slot (j_r * stride + m_r) - t; the
+    # alpha = 0 terms move up one tau power
+    stride = int(m.max(initial=0)) + 2
+    lead = m[:n0] + 1
+    return TauQSeries._from_slots(
         omega.L,
-        np.concatenate([j[:n0], np.broadcast_to(jq[:, None], valid.shape)[valid]]),
-        np.concatenate([m[:n0] + 1, (mq[:, None] - steps)[valid]]),
-        np.concatenate([real_divide(c[:n0], m[:n0] + 1), coeff[valid]]),
+        np.concatenate([lead, ((jq * stride + mq)[:, None] - steps)[valid]]),
+        np.concatenate([c.real[:n0] / lead, re[valid]]),
+        np.concatenate([c.imag[:n0] / lead, im[valid]]),
+        stride,
+        grid_limit(omega.L, omega.cutoff),
         omega.cutoff,
     )
 
@@ -193,10 +206,11 @@ def evaluate_with_bound(f: TauQSeries, y: float) -> tuple[complex, float]:
     """
     value = evaluate_at(f, y)
     cut = float(f.cutoff)
-    shell = f.j / f.L > cut - 1.0
-    biggest = float(np.abs(f.c[shell]).max()) if shell.any() else 1.0
-    mmax = int(f.m[shell].max(initial=0))
-    bound = (int(shell.sum()) + 1) * biggest * math.exp(-2.0 * math.pi * cut * y)
+    start = int(np.searchsorted(f.j / f.L, cut - 1.0, side="right"))  # j is sorted
+    shell = f.c[start:]
+    biggest = float(np.abs(shell).max()) if shell.size else 1.0
+    mmax = int(f.m[start:].max(initial=0))
+    bound = (shell.size + 1) * biggest * math.exp(-2.0 * math.pi * cut * y)
     bound *= max(1.0, y) ** mmax
     return value, bound
 
@@ -241,7 +255,7 @@ class AdmissibleForm:
 def _letters_of(word) -> tuple[AdmissibleForm, ...]:
     letters = tuple(word)
     if not letters or len(letters) > MAX_WORD_LENGTH:
-        raise ValueError("word length must be between 1 and 4")
+        raise ValueError(f"word length must be between 1 and {MAX_WORD_LENGTH}")
     return letters
 
 
@@ -362,10 +376,12 @@ def _suffix_integral(series: tuple[TauQSeries, ...], cutoff: Fraction) -> TauQSe
     and is cut to it before it is integrated.
     """
     head = series[0]
-    if len(series) == 1:
-        integrand = TauQSeries.from_grid(head.L, *head.on_grid(head.L, cutoff), cutoff)
-    else:
+    if len(series) > 1:
         integrand = mul_series(head, _suffix_integral(series[1:], cutoff))
+    elif head.cutoff == cutoff:
+        integrand = head
+    else:
+        integrand = TauQSeries.from_grid(head.L, *head.on_grid(head.L, cutoff), cutoff)
     return antiderivative_to_infinity(integrand).scale(-1.0)
 
 

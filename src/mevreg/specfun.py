@@ -47,8 +47,8 @@ the sums below lose nothing to it near s = 1.  Every other s is reflected:
 
 The work is linear in q; no q x q table is formed.  The roots of unity
 e(j/q) come from ``roots_of_unity(q)``, a bounded LRU cache that the series
-generators in ``eisenstein`` share; entry j equals ``e2pi(Fraction(j, q))``
-bit for bit.
+generators in ``eisenstein`` share; entry j is ``cmath.exp`` of
+2 pi i (j/q), with the quarter turns exact.
 """
 
 from __future__ import annotations
@@ -70,7 +70,6 @@ __all__ = [
     "bernoulli_number",
     "bernoulli_poly",
     "bloch_wigner",
-    "e2pi",
     "gamma_fn",
     "hurwitz_zeta",
     "mp_precision",
@@ -166,22 +165,6 @@ def _bernoulli_poly_any(k: int, t):
     return acc
 
 
-def e2pi(x: Fraction | float) -> complex:
-    """Root of unity / unit-circle point e(x) = exp(2*pi*i*x), x taken mod 1."""
-    if isinstance(x, Fraction):
-        x = x % 1
-        if x == 0:
-            return 1.0 + 0.0j
-        if 2 * x == 1:
-            return -1.0 + 0.0j
-        if 4 * x == 1:
-            return 1.0j
-        if 4 * x == 3:
-            return -1.0j
-    t = float(x) % 1.0
-    return cmath.exp(2j * math.pi * t)
-
-
 # Stirling's series for log Gamma: the coefficients B_2j / (2j (2j-1)),
 # j = 1..8, used once |z| >= _STIRLING_MIN, where the first omitted term is
 # below 1e-17 relative.
@@ -237,10 +220,10 @@ def _is_nonpositive_int(s: complex) -> bool:
 
 @lru_cache(maxsize=32)
 def roots_of_unity(q: int) -> tuple[complex, ...]:
-    """(e(0/q), e(1/q), ..., e((q-1)/q)); entry j equals e2pi(Fraction(j, q)) bit for bit."""
+    """(e(0/q), e(1/q), ..., e((q-1)/q)), with 1, i, -1 and -i exact."""
     if q < 1:
         raise ValueError(f"roots_of_unity needs q >= 1, got {q}")
-    # e2pi's float path: j/q is float(Fraction(j, q)), both correctly rounded.
+    # j / q is correctly rounded, as float(Fraction(j, q)) is
     table = [cmath.exp(2j * math.pi * ((j / q) % 1.0)) for j in range(q)]
     for quarter, exact in ((0, 1.0 + 0.0j), (1, 1.0j), (2, -1.0 + 0.0j), (3, -1.0j)):
         if quarter * q % 4 == 0:

@@ -10,6 +10,7 @@ compare pipelines.
 
 from __future__ import annotations
 
+import cmath
 import math
 from fractions import Fraction
 
@@ -32,6 +33,26 @@ def quad_complex(f, lo, hi, eps=1e-11, limit=300):
     re, _ = quad(lambda y: f(y).real, lo, hi, limit=limit, epsabs=eps, epsrel=eps)
     im, _ = quad(lambda y: f(y).imag, lo, hi, limit=limit, epsabs=eps, epsrel=eps)
     return complex(re, im)
+
+
+def e2pi(x: Fraction | float) -> complex:
+    """Root of unity / unit-circle point e(x) = exp(2*pi*i*x), x taken mod 1.
+
+    The reference for ``specfun.roots_of_unity``: exact at the quarter turns,
+    ``cmath.exp`` of the reduced float elsewhere.
+    """
+    if isinstance(x, Fraction):
+        x = x % 1
+        if x == 0:
+            return 1.0 + 0.0j
+        if 2 * x == 1:
+            return -1.0 + 0.0j
+        if 4 * x == 1:
+            return 1.0j
+        if 4 * x == 3:
+            return -1.0j
+    t = float(x) % 1.0
+    return cmath.exp(2j * math.pi * t)
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,13 @@ MEV_WORDS = (
 )
 # the exact bg checks on more grids; level 12 mixes the denominators 12, 6 and 4
 BG_LEVELS = ("4", "6", "12", "13")
+# appended after the lists above, so the earlier digests keep their order
+LATE_REGULATOR_PAIRS = {
+    13: ("1/13,2/13", "3/13,8/13"),
+    29: ("1/29,2/29", "3/29,24/29"),
+}
+# a product of letters on the mixed 1/4 and 1/6 grids
+MIXED_GRID_WORD = "1/4,1/3;1/6,5/12"
 
 
 def commands() -> list[list[str]]:
@@ -69,6 +76,9 @@ def commands() -> list[list[str]]:
         out.append(["mev", "--params", word])
     for level in BG_LEVELS:
         out.append(["verify", "--suite", "bg", "--level", level])
+    for level, (a, b) in LATE_REGULATOR_PAIRS.items():
+        out.append(["regulator", "--a", a, "--b", b, "--level", str(level)])
+    out.append(["mev", "--params", MIXED_GRID_WORD])
     return out
 
 

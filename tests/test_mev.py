@@ -155,3 +155,27 @@ def test_length_drop_all_positions():
         fd = (vals[-2] - 8 * vals[-1] + 8 * vals[1] - vals[2]) / (12 * float(step))
         rhs = M.length_drop_rhs(params, p)
         assert abs(fd - rhs) < 1e-6
+
+
+def test_word_length_caps_are_named_in_their_messages():
+    from mevreg import regint as R
+
+    x = X(F(1, 5), F(2, 5))
+    letter = R.siegel_letter(x)
+    cap = R.MAX_WORD_LENGTH
+    message = f"^word length must be between 1 and {cap}$"
+    for integral in (R.word_integral_to_infinity, R.word_integral_zero_to_infinity):
+        with pytest.raises(ValueError, match=message):
+            integral([letter] * (cap + 1))
+    with pytest.raises(ValueError, match=message):
+        R.shuffle_expand([letter] * (cap + 1), [letter])
+
+    cap = M.MAX_MEV_LENGTH
+    message = f"^supported lengths are 1..{cap}$"
+    with pytest.raises(ValueError, match=message):
+        M.lambda_mev([x] * (cap + 1))
+    with pytest.raises(ValueError, match=message):
+        M.lambda_signed([x] * (cap + 1), "+" * (cap + 1))
+    for lam in (M.lambda_mev, lambda params: M.lambda_signed(params, "")):
+        with pytest.raises(ValueError, match=message):
+            lam([])

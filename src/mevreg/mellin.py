@@ -12,10 +12,13 @@ Two pipelines:
 * ``mellin_numeric`` -- analytic continuation of an arbitrary admissible
   form by splitting at y = 1:  the [1, oo) piece is a sum of upper
   incomplete gamma terms over the inf-side series, the (0, 1] piece maps
-  under y -> 1/y onto the zero-side series with s reflected.  Polynomial
-  strata contribute exact rational terms -c i^m/(s+m) (inf side) and
-  +d i^{m'}/(m'+2-s) (zero side); at a pole those terms are dropped into
-  the residue and the remainder is the exact Laurent constant term.
+  under y -> 1/y onto the zero-side series with s reflected.  Each side and
+  tau power takes one ``upper_incomplete_gamma_grid`` call over its points
+  2 pi j / L, and all terms are summed with ``math.fsum`` (at level 97 they
+  reach 2.5 against a value of 0.36).  Polynomial strata contribute exact
+  rational terms -c i^m/(s+m) (inf side) and +d i^{m'}/(m'+2-s) (zero
+  side); at a pole those terms are dropped into the residue and the
+  remainder is the exact Laurent constant term.
 
 Products of two Eisenstein series are always continued numerically, never
 symbolically; the constant-term algebra of the reduction to L-values is
@@ -34,6 +37,8 @@ from fractions import Fraction
 from functools import reduce
 from typing import Callable, Optional, Sequence
 
+import numpy as np
+
 from mevreg.eisenstein import (
     DEFAULT_CUTOFF,
     EisensteinSpec,
@@ -48,10 +53,11 @@ from mevreg.regint import (
     word_integral_zero_to_infinity,
 )
 from mevreg.specfun import (
+    _real_pow,
     gamma_fn,
     hurwitz_zeta,
     periodic_zeta,
-    upper_incomplete_gamma,
+    upper_incomplete_gamma_grid,
 )
 
 __all__ = [
@@ -171,28 +177,28 @@ def mellin_numeric(form: AdmissibleForm, s: complex) -> MellinResult:
     if not inf.j.any():
         # Pure polynomial: the two halves of the split cancel identically.
         return MellinResult(0.0 + 0.0j)
-    value = 0.0 + 0.0j
+    parts = []
     residue = 0.0 + 0.0j
-    for j, m, c in zip(inf.j.tolist(), inf.m.tolist(), inf.c.tolist()):
-        w = c * (1j) ** m
-        if j == 0:
-            if s == -m:
-                residue += -w
-            else:
-                value += -w / (s + m)
-        else:
-            a = TWO_PI * (j / inf.L)
-            value += w * a ** -(s + m) * upper_incomplete_gamma(s + m, a)
-    for j, m, d in zip(zero.j.tolist(), zero.m.tolist(), zero.c.tolist()):
-        w = d * (1j) ** m
-        if j == 0:
-            if s == m + 2:
-                residue += -w
-            else:
-                value += w / (m + 2 - s)
-        else:
-            b = TWO_PI * (j / zero.L)
-            value += -w * b ** -(m + 2 - s) * upper_incomplete_gamma(m + 2 - s, b)
+    # a term c tau^m q^{j/L} of the inf side gives w a^{-r} Gamma(r, a) with
+    # w = c i^m, r = s + m, a = 2 pi j / L; the zero side gives minus that at
+    # r = m + 2 - s.  At j = 0 the integral is -w / r, or a residue at r = 0.
+    for side, sign in ((inf, 1.0), (zero, -1.0)):
+        for m in np.unique(side.m).tolist():
+            r = s + m if sign > 0 else m + 2 - s
+            at_m = side.m == m
+            j, w = side.j[at_m], side.c[at_m] * 1j**m
+            if j[0] == 0:
+                if r == 0:
+                    residue -= w[0]
+                else:
+                    parts.append(np.array([-sign * w[0] / r]))
+                j, w = j[1:], w[1:]
+            if len(j):
+                a = TWO_PI * (j / side.L)
+                gamma = upper_incomplete_gamma_grid(r, a)
+                parts.append(sign * w * _real_pow(a, -r) * gamma)
+    terms = np.concatenate(parts)
+    value = complex(math.fsum(terms.real.tolist()), math.fsum(terms.imag.tolist()))
     if residue != 0:
         return MellinResult(value, True, residue)
     return MellinResult(value)

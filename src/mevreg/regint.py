@@ -365,19 +365,23 @@ def word_integral_to_infinity(word) -> TauQSeries:
     """
     letters = _letters_of(word)
     cutoff = min(l.inf_side.cutoff for l in letters)
-    return _suffix_integral(tuple(l.inf_side for l in letters), cutoff)
+    return _suffix_integral(
+        tuple(l.inf_side for l in letters), cutoff.numerator, cutoff.denominator
+    )
 
 
 @lru_cache(maxsize=1024)
-def _suffix_integral(series: tuple[TauQSeries, ...], cutoff: Fraction) -> TauQSeries:
+def _suffix_integral(series: tuple[TauQSeries, ...], num: int, den: int) -> TauQSeries:
     """Series of int_tau^oo over the suffix with coefficient series ``series``.
 
-    ``cutoff`` is that of the whole word; a last letter may carry a larger one
-    and is cut to it before it is integrated.
+    The cutoff num/den is that of the whole word; a last letter may carry a
+    larger one and is cut to it before it is integrated.  The cache keys on
+    the two integers: a Fraction recomputes its hash on every lookup.
     """
+    cutoff = Fraction(num, den)
     head = series[0]
     if len(series) > 1:
-        integrand = mul_series(head, _suffix_integral(series[1:], cutoff))
+        integrand = mul_series(head, _suffix_integral(series[1:], num, den))
     elif head.cutoff == cutoff:
         integrand = head
     else:
@@ -386,9 +390,9 @@ def _suffix_integral(series: tuple[TauQSeries, ...], cutoff: Fraction) -> TauQSe
 
 
 @lru_cache(maxsize=1024)
-def _suffix_value(series: tuple, cutoff: Fraction, y: float) -> tuple[complex, float]:
-    """evaluate_with_bound of the suffix integral at iy."""
-    return evaluate_with_bound(_suffix_integral(series, cutoff), y)
+def _suffix_value(series: tuple, num: int, den: int, y: float) -> tuple[complex, float]:
+    """evaluate_with_bound of the suffix integral at iy, cutoff num/den."""
+    return evaluate_with_bound(_suffix_integral(series, num, den), y)
 
 
 def word_integral_zero_to_infinity(word, tau0_y: float = 1.0) -> complex:
@@ -408,16 +412,17 @@ def word_integral_zero_to_infinity_with_bound(
     letters = _letters_of(word)
     n = len(letters)
     cutoff = min(l.inf_side.cutoff for l in letters)
+    num, den = cutoff.numerator, cutoff.denominator
     inf_side = tuple(l.inf_side for l in letters)
     zero_side = tuple(l.zero_side for l in reversed(letters))
     total, bound = 0.0 + 0.0j, 0.0
     for k in range(n + 1):
         z, bz, w, bw = 1.0 + 0.0j, 0.0, 1.0 + 0.0j, 0.0
         if k:
-            z, bz = _suffix_value(zero_side[n - k :], cutoff, 1.0 / tau0_y)
+            z, bz = _suffix_value(zero_side[n - k :], num, den, 1.0 / tau0_y)
             z *= (-1.0) ** k
         if k < n:
-            w, bw = _suffix_value(inf_side[k:], cutoff, tau0_y)
+            w, bw = _suffix_value(inf_side[k:], num, den, tau0_y)
         total += z * w
         bound += abs(z) * bw + abs(w) * bz
     return total, bound

@@ -104,20 +104,28 @@ def lambda_double_quadrature(x: EllipticParam, y: EllipticParam, eps=1e-11) -> c
 
 def mellin_g_product_quadrature(pairs, s: float, eps=1e-12) -> complex:
     """M(prod_i G^(k_i)_{x_i}, s) with the (0,1] piece mapped through
-    G^(k)(-1/tau) = (-1)^k tau^k H^(k)(tau) and the constant of the H-product
-    continued exactly (int_1^oo t^{w-1} dt -> -1/w)."""
+    G^(k)(-1/tau) = (-1)^k tau^k H^(k)(tau).
+
+    The constant term of each side is subtracted before the quadrature and
+    continued exactly: c int_1^oo y^{s-1} dy -> -c/s on the G side, and
+    int_1^oo t^{w-1} dt -> -1/w with w = k - s on the H side.  So the
+    quadrature sees only the exponentially decaying parts, and the value
+    holds at any s != 0, k where the rest converges.
+    """
     gs = [g_series(k, xx, CUT) for k, xx in pairs]
     hs = [h_series(k, xx, CUT) for k, xx in pairs]
     k_tot = sum(k for k, _ in pairs)
-    c_h = 1.0 + 0.0j
+    c_g = c_h = 1.0 + 0.0j
+    for srs in gs:
+        c_g *= srs.coeff(0, 0)
     for srs in hs:
         c_h *= srs.coeff(0, 0)
 
-    def f_inf(yv):
+    def f_inf_dec(yv):
         out = 1.0 + 0.0j
         for srs in gs:
             out *= evaluate_at(srs, yv)
-        return out
+        return out - c_g
 
     def f_zero_dec(tv):
         out = 1.0 + 0.0j
@@ -125,7 +133,8 @@ def mellin_g_product_quadrature(pairs, s: float, eps=1e-12) -> complex:
             out *= evaluate_at(srs, tv)
         return (-1.0) ** k_tot * (1j * tv) ** k_tot * (out - c_h)
 
-    v1 = quad_complex(lambda yv: f_inf(yv) * yv ** (s - 1.0), 1.0, 50.0, eps)
+    v1 = quad_complex(lambda yv: f_inf_dec(yv) * yv ** (s - 1.0), 1.0, 50.0, eps)
+    v1 += -c_g / s
     v2 = quad_complex(lambda tv: f_zero_dec(tv) * tv ** (-s - 1.0), 1.0, 50.0, eps)
     v2 += -((-1.0) ** k_tot) * (1j) ** k_tot * c_h / (k_tot - s)
     return v1 + v2

@@ -2,15 +2,18 @@ import math
 import random
 from fractions import Fraction as F
 
+import mpmath
 import pytest
 
+from mevreg.cli import _thm_pairs
 from mevreg.eisenstein import EisensteinSpec, EllipticParam, TauQSeries, e_series
 from mevreg import mellin as ML
 from mevreg import mev as M
+from mevreg import regulator as RG
 from mevreg.regint import AdmissibleForm, modular_letter, word_integral_zero_to_infinity
 from mevreg.specfun import ZETA3, ZETA_PRIME_MINUS2, bernoulli_poly
 
-from oracles import mellin_g_product_quadrature
+from oracles import CUT, mellin_g_product_quadrature
 
 X = EllipticParam.of
 
@@ -141,6 +144,60 @@ def test_l_deriv_against_quadrature_oracle():
     level = 35
     want = -(level / (2 * math.pi)) * m_quad.real
     assert ML.l_deriv_weight2_at_minus1(x, y) == pytest.approx(want, abs=1e-9)
+
+
+def _lvalue_factors(a, b):
+    """The two G1 x G1 products of the regulator's Mellin side, plus and minus."""
+    return (
+        [(1, X(a.x1, b.x2)), (1, X(b.x1, -a.x2))],
+        [(1, X(a.x1, -b.x2)), (1, X(b.x1, a.x2))],
+    )
+
+
+@pytest.mark.parametrize("level", [5, 7, 11])
+def test_lvalue_mellin_against_quadrature_oracle(level):
+    # the quadrature shares no code with the incomplete-gamma continuation,
+    # so it checks the Mellin value that thm1 and thm2 both read
+    for a, b in _thm_pairs(level):
+        plus, minus = _lvalue_factors(a, b)
+        want = sum(mellin_g_product_quadrature(f, -1.0) for f in (plus, minus))
+        assert abs(RG._lvalue_mellin(a, b, CUT) - want) <= 1e-13
+
+
+def _mellin_terms_exact(form: AdmissibleForm, s: float) -> complex:
+    """The terms of ``mellin_numeric`` summed at 30 digits, from the same float
+    coefficients and points 2 pi j / L, with mpmath's incomplete gamma."""
+    with mpmath.workdps(30):
+        total = mpmath.mpc(0)
+        for side, sign in ((form.inf_side, 1), (form.zero_side, -1)):
+            for j, m, c in zip(side.j.tolist(), side.m.tolist(), side.c.tolist()):
+                w = mpmath.mpc(c * 1j**m)
+                r = s + m if sign > 0 else m + 2 - s
+                if j == 0:
+                    total += -sign * w / r
+                else:
+                    a = mpmath.mpf(2 * math.pi * (j / side.L))
+                    total += sign * w * a ** (-r) * mpmath.gammainc(r, a)
+        return complex(total)
+
+
+@pytest.mark.parametrize("level", [47, 97])
+def test_mellin_numeric_sums_lvalue_terms_to_rounding(level):
+    # at a = (1/N, 2/N), b = (3/N, (N-5)/N), |M| = 0.36 at N = 97 and the
+    # order of summation alone once cost 1.4e-13; two seeded pairs besides
+    rng = random.Random(level)
+    pairs = [(X(F(1, level), F(2, level)), X(F(3, level), F(level - 5, level)))]
+    while len(pairs) < 3:
+        a, b = (X(F(rng.randrange(1, level), level), F(rng.randrange(1, level), level))
+                for _ in range(2))
+        if not any(p.has_zero_coord for p in (a, b, -(a + b))):
+            pairs.append((a, b))
+    for a, b in pairs:
+        plus, minus = _lvalue_factors(a, b)
+        form = ML.g_product_form(plus) + ML.g_product_form(minus)
+        got = ML.mellin_numeric(form, -1.0).value
+        assert got == RG._lvalue_mellin(a, b, CUT)
+        assert abs(got - _mellin_terms_exact(form, -1.0)) <= 3e-15, (a, b)
 
 
 def test_l_deriv_diagonal_combination_vanishes():

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy.integrate import quad
-from scipy.special import exp1
 
 from mevreg import specfun as sf
 from oracles import e2pi
@@ -43,7 +42,7 @@ def test_bernoulli_reflection():
 
 
 # ---------------------------------------------------------------------------
-# Gamma and E1
+# Gamma
 # ---------------------------------------------------------------------------
 
 
@@ -85,25 +84,26 @@ def test_gamma_fn_poles():
         sf.gamma_fn(172.0)
 
 
-@settings(max_examples=500, deadline=None)
-@given(st.floats(1e-300, 745.0))
-@example(1e-300)
-@example(1.0)
-@example(1.0000000000000002)
-@example(745.0)
-def test_exp1_is_scipy_bit_for_bit(x):
-    assert sf._exp1(x) == float(exp1(x))
-
-
-def test_import_does_not_load_scipy():
+def _loaded_by_import(module: str) -> bool:
+    """Whether ``import mevreg, mevreg.cli`` in a fresh interpreter loads ``module``."""
+    code = f"import sys, mevreg, mevreg.cli; print({module!r} in sys.modules)"
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, mevreg, mevreg.cli; print('scipy' in sys.modules)"],
+        [sys.executable, "-c", code],
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip() == "True"
+
+
+def test_import_does_not_load_scipy():
+    assert not _loaded_by_import("scipy")
+
+
+def test_import_does_not_load_mpmath():
+    # only the dilogarithm uses mpmath, and imports it on its first call
+    assert not _loaded_by_import("mpmath")
 
 
 # ---------------------------------------------------------------------------
@@ -411,11 +411,61 @@ def test_incomplete_gamma_complex_order():
     )
 
 
+def _gammainc(s: complex, x: float) -> complex:
+    with mpmath.workdps(30):
+        return complex(mpmath.gammainc(mpmath.mpc(s), mpmath.mpf(x)))
+
+
+# The grids of mellin_numeric: 2 pi j / L, j = 1 .. cutoff * L.
+GRID_LEVELS = (1, 2, 3, 5, 7, 11, 13, 35, 91, 4096)
+ORDERS = st.one_of(
+    st.floats(-3.0, 7.0),
+    st.integers(-3, 7).map(float),
+    st.integers(-6, 14).map(lambda k: k / 2),
+    st.builds(complex, st.floats(-3.0, 7.0), st.floats(-3.0, 3.0)),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    ORDERS,
+    st.sampled_from(GRID_LEVELS),
+    st.sampled_from((F(4), F(25, 2), F(12))),
+    st.lists(st.floats(0.0, 1.0), max_size=6),
+)
+@example(-2.0, 4096, F(12), [0.5])
+@example(complex(0.37, -1.84), 4096, F(12), [])
+@example(-2.5, 1, F(4), [0.1])
+def test_incomplete_gamma_grid_matches_mpmath(s, level, cutoff, picks):
+    x = 2 * math.pi * (np.arange(1, int(cutoff * level) + 1) / level)
+    got = sf.upper_incomplete_gamma_grid(s, x)
+    last = len(x) - 1
+    for i in {0, last, *(round(p * last) for p in picks)}:
+        ref = _gammainc(s, x[i])
+        # e^(-t) at a rounded node t near x is off by up to x * 2^-53 relative
+        assert abs(got[i] - ref) <= (2e-15 + 2.2e-16 * x[i]) * abs(ref), (i, x[i])
+
+
+def test_incomplete_gamma_small_x_branch_matches_mpmath():
+    # below x = |s| + 1.5 the scalar routine reads the grid kernel; the
+    # continued fraction it starts from carries up to 5e-15 at that point
+    rng = random.Random(17)
+    for _ in range(200):
+        s = rng.choice([rng.uniform(-3, 7), rng.randint(-3, 7), rng.randint(-6, 14) / 2])
+        if rng.random() < 0.3:
+            s = complex(s, rng.uniform(-3, 3))
+        x = rng.uniform(1e-3, abs(s) + 1.5)
+        ref = _gammainc(s, x)
+        assert abs(sf.upper_incomplete_gamma(s, x) - ref) <= 1e-14 * abs(ref), (s, x)
+
+
 def test_incomplete_gamma_errors_and_underflow():
     with pytest.raises(ValueError):
         sf.upper_incomplete_gamma(1.0, 0.0)
     with pytest.raises(ValueError):
         sf.upper_incomplete_gamma(1.0, -2.0)
+    with pytest.raises(ValueError, match="x > 0"):
+        sf.upper_incomplete_gamma_grid(1.0, np.array([0.0, 1.0]))
     val, flag = sf._gamma_upper_cached(1.0 + 0j, 800.0)
     assert flag and val == 0.0
     assert sf.upper_incomplete_gamma(1.0, 800.0) == 0.0

@@ -16,7 +16,6 @@ from mevreg.eisenstein import (
     gn_series,
     h_series,
     log_siegel_series,
-    sigma_param,
 )
 from mevreg.mev import (
     MevResult,
@@ -71,7 +70,6 @@ __all__ = [
     "mellin_eisenstein_closed",
     "mellin_numeric",
     "regulator_report",
-    "sigma_param",
 ]
 
 __version__ = "0.1.0"

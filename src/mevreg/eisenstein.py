@@ -6,11 +6,16 @@ tau-powers m >= 0.  The exponents live on an integer grid alpha = j/L: a
 series stores its grid denominator L and read-only numpy arrays j (int64),
 m (int64) and c (complex128), sorted by (j, m), one entry per nonzero term.
 The generators write grid indices directly (L is the denominator of the
-parameter coordinates that the exponents depend on), and sums and products
-move to the lcm of the two grids, so equal exponents merge exactly, with no
-float-epsilon logic.  A series never stores terms with alpha beyond its
-cutoff, and products inherit the smaller cutoff, so the truncation error of
-everything downstream is controlled by the smallest neglected exponent.
+parameter coordinates that the exponents depend on).  Each tail walks one
+lattice enumerator, ``_lattice``: the points (i, e) with i and e in fixed
+residue classes and i*e <= jmax, row by row, each term at grid index i*e.
+``_from_lattice`` stores the constant terms as given and sums the lattice
+terms in walk order through ``TauQSeries._from_slots``, the accumulator of
+every series kernel.  Sums and products move to the lcm of the two grids,
+so equal exponents merge exactly, with no float-epsilon logic.  A series
+never stores terms with alpha beyond its cutoff, and products inherit the
+smaller cutoff, so the truncation error of everything downstream is
+controlled by the smallest neglected exponent.
 The exact (Fraction(j, L), m) -> coefficient view ``terms`` is built on
 demand for printing and tests.
 
@@ -59,7 +64,6 @@ __all__ = [
     "h_series",
     "log_siegel_series",
     "sigma_companion",
-    "sigma_param",
     "qdump_rows",
 ]
 
@@ -83,10 +87,6 @@ class EllipticParam:
     def __post_init__(self):
         object.__setattr__(self, "x1", Fraction(self.x1) % 1)
         object.__setattr__(self, "x2", Fraction(self.x2) % 1)
-
-    @staticmethod
-    def of(x1, x2) -> "EllipticParam":
-        return EllipticParam(Fraction(x1), Fraction(x2))
 
     def __neg__(self) -> "EllipticParam":
         return EllipticParam(-self.x1, -self.x2)
@@ -112,11 +112,6 @@ class EllipticParam:
 
     def __str__(self) -> str:
         return f"({self.x1},{self.x2})"
-
-
-def sigma_param(x: EllipticParam) -> EllipticParam:
-    """sigma-transformed parameter (x2, -x1) mod 1."""
-    return x.sigma()
 
 
 # ---------------------------------------------------------------------------
@@ -153,27 +148,6 @@ class TauQSeries:
     """
 
     __slots__ = ("L", "j", "m", "c", "cutoff", "_terms")
-
-    def __init__(
-        self, terms: Mapping[tuple[Fraction, int], complex], cutoff: Fraction
-    ):
-        cutoff = Fraction(cutoff)
-        kept = [
-            (Fraction(alpha), m, c)
-            for (alpha, m), c in terms.items()
-            if c != 0 and alpha <= cutoff
-        ]
-        for alpha, m, _ in kept:
-            if alpha < 0 or m < 0:
-                raise ValueError(f"invalid term exponents (alpha={alpha}, m={m})")
-        L = math.lcm(1, *(alpha.denominator for alpha, _, _ in kept))
-        grid_limit(L, cutoff)
-        grid = _sorted_unique(
-            [alpha.numerator * (L // alpha.denominator) for alpha, _, _ in kept],
-            [power for _, power, _ in kept],
-            [c for _, _, c in kept],
-        )
-        self._set(L, *grid, cutoff)
 
     def _set(self, L: int, j, m, c, cutoff: Fraction) -> None:
         for arr in (j, m, c):
@@ -336,27 +310,6 @@ def real_divide(c: np.ndarray, d) -> np.ndarray:
     return out
 
 
-def _sorted_unique(j, m, c) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Grid arrays sorted by (j, m) from terms with distinct keys; zeros dropped.
-
-    Coefficients are stored as given, bit for bit.
-    """
-    j = np.asarray(j, dtype=np.int64)
-    m = np.asarray(m, dtype=np.int64)
-    c = np.asarray(c, dtype=np.complex128)
-    order = np.lexsort((m, j))
-    order = order[c[order] != 0]
-    return j[order], m[order], c[order]
-
-
-def _from_terms(
-    L: int, terms: dict[tuple[int, int], complex], cutoff: Fraction
-) -> TauQSeries:
-    """Series from a generator's (j, m) -> coefficient accumulator (all j/L <= cutoff)."""
-    grid = _sorted_unique([j for j, _ in terms], [m for _, m in terms], list(terms.values()))
-    return TauQSeries._make(L, *grid, cutoff)
-
-
 # ---------------------------------------------------------------------------
 # Family specs and sigma metadata
 # ---------------------------------------------------------------------------
@@ -424,6 +377,47 @@ def _cot_factor(x: Fraction) -> complex:
     return complex(0.0, 1.0 / math.tan(math.pi * float(x % 1)))
 
 
+def _lattice(
+    i0: int, di: int, e0: int, de: int, jmax: int
+) -> Iterator[tuple[int, range, range]]:
+    """Rows (i, es, js) of the lattice points i ≡ i0 (mod di), e ≡ e0 (mod de),
+    i, e > 0, i*e <= jmax, walked row-major: i ascending, the row's e in
+    ``es`` and the matching indices i*e in ``js``.
+
+    A residue 0 starts at the modulus itself.
+    """
+    i, e0 = i0 or di, e0 or de
+    while i * e0 <= jmax:
+        yield i, range(e0, jmax // i + 1, de), range(i * e0, jmax + 1, i * de)
+        i += di
+
+
+def _from_lattice(
+    L: int, constants: list[tuple[int, complex]], j: list[int], c: list, cutoff: Fraction
+) -> TauQSeries:
+    """Series of the j = 0 terms ``constants`` [(m, c0)] (by ascending m), stored
+    as given, plus the lattice terms c q^(j/L), j >= 1, summed in input order by
+    ``_from_slots``.
+
+    The constants never pass through the sum, which would turn a -0.0 part
+    into +0.0.  Zero constants and zero sums are dropped.
+    """
+    c = np.array(c, dtype=np.complex128)
+    j = np.array(j, dtype=np.int64)
+    tail = TauQSeries._from_slots(L, j, c.real, c.imag, 1, grid_limit(L, cutoff), cutoff)
+    constants = [(m, c0) for m, c0 in constants if c0 != 0]
+    if not constants:
+        return tail
+    m0, c0 = zip(*constants)
+    return TauQSeries._make(
+        L,
+        np.concatenate([[0] * len(m0), tail.j]),
+        np.concatenate([m0, tail.m]),
+        np.concatenate([c0, tail.c]),
+        cutoff,
+    )
+
+
 @lru_cache(maxsize=4096)
 def e_series(
     k: int, x: EllipticParam, cutoff: Fraction = DEFAULT_CUTOFF
@@ -433,7 +427,8 @@ def e_series(
     Constant term: {x1} - 1/2 (k = 1, x1 != 0); -(1/2)(1+e(x2))/(1-e(x2))
     (k = 1, x1 = 0, x2 != 0); 0 at the origin; B_k({x1})/k for k >= 2.
     Tails: - sum e(m x2) n^{k-1} q^{mn} over n ≡ x1 (mod 1) plus
-    (-1)^{k+1} times the mirrored sum over n ≡ -x1.
+    (-1)^{k+1} times the mirrored sum over n ≡ -x1; n = i/L sits at grid
+    index i, and the exponent mn at index m*i.
     """
     if k < 1:
         raise ValueError("weight must be >= 1")
@@ -442,7 +437,6 @@ def e_series(
     cutoff = Fraction(cutoff)
     L = x.x1.denominator
     jmax = grid_limit(L, cutoff)
-    terms: dict[tuple[int, int], complex] = {}
     if k == 1:
         if x.x1 != 0:
             a0 = complex(float(x.x1) - 0.5)
@@ -452,30 +446,15 @@ def e_series(
             a0 = 0.0 + 0.0j
     else:
         a0 = complex(bernoulli_poly(k, x.x1) / k)
-    if a0 != 0:
-        terms[(0, 0)] = a0
-    _accumulate_e_branch(terms, k, x.x1, x.x2, L, jmax, -1.0 + 0.0j, conj=False)
-    _accumulate_e_branch(
-        terms, k, -x.x1 % 1, x.x2, L, jmax, complex((-1) ** (k + 1)), conj=True
-    )
-    return _from_terms(L, terms, cutoff)
-
-
-def _accumulate_e_branch(terms, k, n_res, x2, L, jmax, sign, conj):
-    """Add sign * e(±m x2) n^{k-1} q^{mn} over n ≡ n_res (mod 1), n > 0, m >= 1.
-
-    n = i/L runs over grid indices i; the exponent mn sits at index m*i.
-    """
-    q, p = x2.denominator, -x2.numerator if conj else x2.numerator
+    a, b, q = x.x1.numerator, x.x2.numerator, x.x2.denominator
     roots = roots_of_unity(q)
-    i = int(n_res * L) if n_res != 0 else L
-    while i <= jmax:
-        nk = (i / L) ** (k - 1)
-        for m in range(1, jmax // i + 1):
-            phase = roots[m * p % q]
-            key = (m * i, 0)
-            terms[key] = terms.get(key, 0.0) + sign * phase * nk
-        i += L
+    j, c = [], []
+    for i0, p, sign in ((a, b, -1.0 + 0.0j), (-a % L, -b, complex((-1) ** (k + 1)))):
+        for i, ms, js in _lattice(i0, L, 1, 1, jmax):
+            nk = (i / L) ** (k - 1)
+            j += js
+            c += [sign * roots[m * p % q] * nk for m in ms]
+    return _from_lattice(L, [(0, a0)], j, c, cutoff)
 
 
 @lru_cache(maxsize=4096)
@@ -492,44 +471,47 @@ def g_series(
         raise ValueError("weight must be >= 1")
     cutoff = Fraction(cutoff)
     d1, d2 = x.x1.denominator, x.x2.denominator
-    terms = _g_family_terms(
-        k, x.x1.numerator, d1, x.x2.numerator, d2, grid_limit(d1 * d2, cutoff),
-        lambda i: (i / d1) ** (k - 1), bernoulli_poly,
+    t, rows = _g_family_terms(
+        k, x.x1.numerator, d1, x.x2.numerator, d2, grid_limit(d1 * d2, cutoff)
     )
-    return _from_terms(d1 * d2, terms, cutoff)
+    return _g_float_series(k, d1 * d2, t, rows, d1, 1, cutoff)
 
 
-def _g_family_terms(k, a, d1, b, d2, jmax, power, bernoulli, scale=1):
-    """(j, 0) -> coefficient of the G family, in the number type of ``power``.
+def _g_family_terms(k, a, d1, b, d2, jmax):
+    """(t, rows): the index form of the G family, for any number type.
 
-    Sums power(i) at index j = i*e <= jmax over positive integers i ≡ a
-    (mod d1), e ≡ b (mod d2), plus (-1)^k times the same sum over i ≡ -a,
-    e ≡ -b.  For ``g_series`` m = i/d1, n = e/d2 and j is the exponent mn
-    on the 1/(d1 d2) grid; for ``gn_series`` d1 = d2 = N, m = i, n = e and
-    j sits on the 1/N grid.  Index 0 is written first, and only where a
-    constant term applies (it may be 0): -(scale * bernoulli(k, t)) / k
-    with t = a/d1, or t = b/d2 when k = 1 and a = 0.  The accumulator
-    starts from the integer 0, which adds exactly to floats and Fractions.
+    The family is the sum of i^{k-1} (up to a constant factor) at index
+    j = i*e <= jmax over positive integers i ≡ a (mod d1), e ≡ b (mod d2),
+    plus (-1)^k times the same sum over i ≡ -a, e ≡ -b.  ``rows`` yields
+    (i, sign, js), the indices j of one lattice row in generator order.  For
+    ``g_series`` m = i/d1, n = e/d2 and j is the exponent mn on the 1/(d1 d2)
+    grid; for ``gn_series`` d1 = d2 = N, m = i, n = e and j sits on the 1/N
+    grid.  A constant term -(scale * B_k(t))/k applies (it may be 0) where
+    ``t`` is not None: t = a/d1, or t = b/d2 when k = 1 and a = 0.
     """
-    terms = {}
     if k == 1 and (a == 0) != (b == 0):
         t = Fraction(b, d2) if a == 0 else Fraction(a, d1)
     elif k >= 2 and b == 0:
         t = Fraction(a, d1)
     else:
         t = None
-    if t is not None:
-        terms[(0, 0)] = -(scale * bernoulli(k, t)) / k
-    for i_res, e_res, sign in ((a, b, 1), (-a % d1, -b % d2, (-1) ** k)):
-        i = i_res or d1
-        e0 = e_res or d2
-        while i * e0 <= jmax:
-            mk = sign * power(i)
-            for e in range(e0, jmax // i + 1, d2):
-                key = (i * e, 0)
-                terms[key] = terms.get(key, 0) + mk
-            i += d1
-    return terms
+    rows = (
+        (i, sign, js)
+        for i0, e0, sign in ((a, b, 1), (-a % d1, -b % d2, (-1) ** k))
+        for i, _, js in _lattice(i0, d1, e0, d2, jmax)
+    )
+    return t, rows
+
+
+def _g_float_series(k, L, t, rows, d, scale, cutoff) -> TauQSeries:
+    """Float series of the G-family index form: sign * (i/d)^{k-1} at each
+    index of a row, and the constant term with the given scale."""
+    j, c = [], []
+    for i, sign, js in rows:
+        j += js
+        c += [sign * (i / d) ** (k - 1)] * len(js)
+    constants = [] if t is None else [(0, complex(-(scale * bernoulli_poly(k, t)) / k))]
+    return _from_lattice(L, constants, j, c, cutoff)
 
 
 @lru_cache(maxsize=4096)
@@ -546,11 +528,10 @@ def gn_series(
     if k < 1 or level < 1:
         raise ValueError("weight and level must be >= 1")
     cutoff = Fraction(cutoff)
-    terms = _g_family_terms(
-        k, xbar[0] % level, level, xbar[1] % level, level, grid_limit(level, cutoff),
-        lambda i: float(i) ** (k - 1), bernoulli_poly, level ** (k - 1),
+    t, rows = _g_family_terms(
+        k, xbar[0] % level, level, xbar[1] % level, level, grid_limit(level, cutoff)
     )
-    return _from_terms(level, terms, cutoff)
+    return _g_float_series(k, level, t, rows, 1, level ** (k - 1), cutoff)
 
 
 @lru_cache(maxsize=4096)
@@ -569,7 +550,6 @@ def h_series(
         raise ValueError("H with k = 2 requires x1 != 0")
     cutoff = Fraction(cutoff)
     jmax = grid_limit(1, cutoff)
-    terms: dict[tuple[int, int], complex] = {}
     if k == 1:
         if x.is_zero:
             a0 = 0.0 + 0.0j
@@ -581,18 +561,16 @@ def h_series(
             a0 = 0.5 * (_cot_factor(x.x1) + _cot_factor(x.x2))
     else:
         a0 = (-1) ** k * periodic_zeta(-x.x2, 1 - k)
-    if a0 != 0:
-        terms[(0, 0)] = complex(a0)
     sign = float((-1) ** k)
     q = math.lcm(x.x1.denominator, x.x2.denominator)
     roots, p1, p2 = roots_of_unity(q), int(x.x1 * q), int(x.x2 * q)
-    for m in range(1, jmax + 1):
-        for n in range(1, jmax // m + 1):
+    j, c = [], []
+    for m, ns, js in _lattice(1, 1, 1, 1, jmax):
+        j += js
+        for n in ns:
             phase = roots[(m * p1 + n * p2) % q]
-            c = (phase + sign * phase.conjugate()) * float(n) ** (k - 1)
-            key = (m * n, 0)
-            terms[key] = terms.get(key, 0.0) + c
-    return _from_terms(1, terms, cutoff)
+            c.append((phase + sign * phase.conjugate()) * float(n) ** (k - 1))
+    return _from_lattice(1, [(0, complex(a0))], j, c, cutoff)
 
 
 @lru_cache(maxsize=4096)
@@ -613,24 +591,21 @@ def log_siegel_series(
     cutoff = Fraction(cutoff)
     L = x.x1.denominator
     jmax = grid_limit(L, cutoff)
-    terms: dict[tuple[int, int], complex] = {}
-    terms[(0, 1)] = complex(math.pi * bernoulli_poly(2, x.x1)) * 1j
+    constants = []
     if x.x1 == 0:
         t = float(x.x2)
-        terms[(0, 0)] = complex(
-            math.log(2.0 * math.sin(math.pi * t)), math.pi * (t - 0.5)
+        constants.append(
+            (0, complex(math.log(2.0 * math.sin(math.pi * t)), math.pi * (t - 0.5)))
         )
-    q = x.x2.denominator
+    constants.append((1, complex(math.pi * bernoulli_poly(2, x.x1)) * 1j))
+    a, b, q = x.x1.numerator, x.x2.numerator, x.x2.denominator
     roots = roots_of_unity(q)
-    for n_res, p in ((x.x1, x.x2.numerator), (-x.x1 % 1, -x.x2.numerator)):
-        i = int(n_res * L) if n_res != 0 else L
-        while i <= jmax:
-            for m in range(1, jmax // i + 1):
-                phase = roots[m * p % q]
-                key = (m * i, 0)
-                terms[key] = terms.get(key, 0.0) - phase / m
-            i += L
-    return _from_terms(L, terms, cutoff)
+    j, c = [], []
+    for i0, p in ((a, b), (-a % L, -b)):
+        for i, ms, js in _lattice(i0, L, 1, 1, jmax):
+            j += js
+            c += [-roots[m * p % q] / m for m in ms]
+    return _from_lattice(L, constants, j, c, cutoff)
 
 
 @lru_cache(maxsize=4096)

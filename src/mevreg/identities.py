@@ -98,15 +98,26 @@ def _bernoulli_exact(k: int, t: Fraction) -> Fraction:
 
 
 def _g_exact(k: int, x: EllipticParam, cutoff: Fraction) -> ExactSeries:
-    """``g_series(k, x, cutoff)`` in exact arithmetic, as an ExactSeries."""
+    """``g_series(k, x, cutoff)`` in exact arithmetic, as an ExactSeries.
+
+    The coefficients are i^(k-1) / d1^(k-1), and the constant term, the only
+    non-integral one, sets the common denominator.  Keys keep the generator's
+    order of first appearance.
+    """
     d1, d2 = x.x1.denominator, x.x2.denominator
-    terms = _g_family_terms(
-        k, x.x1.numerator, d1, x.x2.numerator, d2, grid_limit(d1 * d2, cutoff),
-        lambda i: i ** (k - 1), _bernoulli_exact, d1 ** (k - 1),
+    t, rows = _g_family_terms(
+        k, x.x1.numerator, d1, x.x2.numerator, d2, grid_limit(d1 * d2, cutoff)
     )
-    # only the constant term can be non-integral
-    t = math.lcm(*(c.denominator for c in terms.values()))
-    return d1 * d2, d1 ** (k - 1) * t, {j: int(c * t) for (j, _), c in terms.items()}
+    out: dict[int, int] = {}
+    den = 1
+    if t is not None:
+        const = -(d1 ** (k - 1) * _bernoulli_exact(k, t)) / k
+        out[0], den = const.numerator, const.denominator
+    for i, sign, js in rows:
+        n = sign * i ** (k - 1) * den
+        for j in js:
+            out[j] = out.get(j, 0) + n
+    return d1 * d2, d1 ** (k - 1) * den, out
 
 
 def _g_exact_product(

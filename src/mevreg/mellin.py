@@ -45,6 +45,8 @@ from mevreg.eisenstein import (
     EllipticParam,
     g_series,
     h_series,
+    series_for,
+    sigma_companion,
 )
 from mevreg.regint import (
     AdmissibleForm,
@@ -208,8 +210,6 @@ def eisenstein_form(
     spec: EisensteinSpec, cutoff: Fraction = DEFAULT_CUTOFF
 ) -> AdmissibleForm:
     """Two-sided form f d(tau) for a single series of weight >= 2."""
-    from mevreg.eisenstein import series_for, sigma_companion
-
     if spec.weight < 2:
         raise ValueError("weight-1 series are not admissible on their own")
     comp, sign = sigma_companion(spec)

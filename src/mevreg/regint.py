@@ -55,7 +55,6 @@ from mevreg.eisenstein import (
     TauQSeries,
     e_series,
     grid_limit,
-    sigma_param,
 )
 
 __all__ = [
@@ -305,7 +304,7 @@ def modular_letter(
     if not 1 <= m <= k - 1:
         raise ValueError(f"tau-power m = {m} violates 1 <= m <= k-1 = {k - 1}")
     f = e_series(k, x, cutoff)
-    f_sigma = e_series(k, sigma_param(x), cutoff)
+    f_sigma = e_series(k, x.sigma(), cutoff)
     return _letter_from_function(
         f, f_sigma, k, 1, m - 1, channel, f"E{k}{x}t^{m - 1}"
     )
@@ -325,7 +324,7 @@ def siegel_letter(
     if x.is_zero:
         raise ValueError("Siegel-unit letters need a nonzero parameter")
     f = e_series(2, x, cutoff).scale(TWO_PI_I)
-    f_sigma = e_series(2, sigma_param(x), cutoff).scale(TWO_PI_I)
+    f_sigma = e_series(2, x.sigma(), cutoff).scale(TWO_PI_I)
     return _letter_from_function(f, f_sigma, 2, 1, 0, channel, f"w{channel[0]}{x}")
 
 
@@ -342,7 +341,7 @@ def merged_product_letter(
     if total_k < 2:
         raise ValueError("total weight of a merged letter must be >= 2")
     inf = reduce(mul_series, [e_series(k, x, cutoff) for k, x in factors])
-    zero = reduce(mul_series, [e_series(k, sigma_param(x), cutoff) for k, x in factors])
+    zero = reduce(mul_series, [e_series(k, x.sigma(), cutoff) for k, x in factors])
     return AdmissibleForm(
         inf,
         zero.shift_tau(total_k - 2),

@@ -18,6 +18,7 @@ from scipy.integrate import quad
 
 from mevreg.eisenstein import (
     EllipticParam,
+    TauQSeries,
     e_series,
     g_series,
     h_series,
@@ -53,6 +54,30 @@ def e2pi(x: Fraction | float) -> complex:
             return -1.0j
     t = float(x) % 1.0
     return cmath.exp(2j * math.pi * t)
+
+
+def series_from_terms(terms, cutoff) -> TauQSeries:
+    """Series of the terms {(alpha, tau power): coefficient} with alpha <= cutoff.
+
+    Zero coefficients and exponents beyond the cutoff are dropped first; the
+    grid is the lcm of the denominators of the rest.  ``from_grid`` rejects a
+    negative exponent, a negative tau power, a negative cutoff and a grid
+    index beyond int64.
+    """
+    cutoff = Fraction(cutoff)
+    kept = [
+        (Fraction(alpha), m, c)
+        for (alpha, m), c in terms.items()
+        if c != 0 and Fraction(alpha) <= cutoff
+    ]
+    L = math.lcm(1, *(alpha.denominator for alpha, _, _ in kept))
+    return TauQSeries.from_grid(
+        L,
+        [alpha.numerator * (L // alpha.denominator) for alpha, _, _ in kept],
+        [m for _, m, _ in kept],
+        [c for _, _, c in kept],
+        cutoff,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -100,6 +125,14 @@ def lambda_double_quadrature(x: EllipticParam, y: EllipticParam, eps=1e-11) -> c
 # ---------------------------------------------------------------------------
 # Mellin transforms of G-products, by quadrature
 # ---------------------------------------------------------------------------
+
+
+def lvalue_factors(a: EllipticParam, b: EllipticParam):
+    """The two G1 x G1 products of the regulator's Mellin side, plus and minus."""
+    return (
+        [(1, EllipticParam(a.x1, b.x2)), (1, EllipticParam(b.x1, -a.x2))],
+        [(1, EllipticParam(a.x1, -b.x2)), (1, EllipticParam(b.x1, a.x2))],
+    )
 
 
 def mellin_g_product_quadrature(pairs, s: float, eps=1e-12) -> complex:

@@ -23,9 +23,9 @@ from mevreg.regint import (
 )
 from mevreg.specfun import ZETA_PRIME_MINUS2, bernoulli_poly
 
-from oracles import eta_quadrature
+from oracles import eta_quadrature, lvalue_factors, mellin_g_product_quadrature
 
-X = EllipticParam.of
+X = EllipticParam
 
 
 def _report(num: int, label: str, worst: float, tol: float, t0: float):
@@ -216,6 +216,16 @@ def test_criterion_8_theorem_2(grid_reports):
     t0 = time.time()
     worst = max(rep.residual_thm2 for _, _, rep in grid_reports)
     _report(8, "regulator bridge on the same grid", worst, 1e-7, t0)
+    # residual_thm2 reads the Mellin value of the L-value pipeline, so it holds
+    # whenever thm1 does; here the companion regulator comes from an M by
+    # quadrature, which shares no code with the incomplete-gamma continuation
+    t0 = time.time()
+    worst = 0.0
+    for a, b, rep in grid_reports:
+        m_quad = sum(mellin_g_product_quadrature(f, -1.0) for f in lvalue_factors(a, b))
+        b_quad = -(9.0 * math.pi / rep.level**2) * m_quad.real
+        worst = max(worst, abs(rep.g_mev - (rep.level**2 / 6.0) * b_quad + rep.zeta3_term))
+    _report(8, "regulator bridge, M by quadrature", worst, 1e-7, t0)
 
 
 def test_criterion_9_structural_symmetries():

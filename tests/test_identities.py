@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from mevreg.eisenstein import EllipticParam, _g_family_terms, grid_limit
 from mevreg import identities as ID
 
-X = EllipticParam.of
+X = EllipticParam
 
 
 def test_bg_e_instances():
@@ -89,11 +89,15 @@ def test_bg_g2_exact():
 
 def ref_g_exact(k, x, cutoff):
     d1, d2 = x.x1.denominator, x.x2.denominator
-    terms = _g_family_terms(
-        k, x.x1.numerator, d1, x.x2.numerator, d2, grid_limit(d1 * d2, cutoff),
-        lambda i: F(i, d1) ** (k - 1), ID._bernoulli_exact,
+    t, rows = _g_family_terms(
+        k, x.x1.numerator, d1, x.x2.numerator, d2, grid_limit(d1 * d2, cutoff)
     )
-    return {F(j, d1 * d2): c for (j, _), c in terms.items()}
+    out = {} if t is None else {F(0): -ID._bernoulli_exact(k, t) / k}
+    for i, sign, js in rows:
+        for j in js:
+            alpha = F(j, d1 * d2)
+            out[alpha] = out.get(alpha, F(0)) + sign * F(i, d1) ** (k - 1)
+    return out
 
 
 def ref_g_exact_product(k1, x1, k2, x2, cutoff):

@@ -6,16 +6,16 @@ import mpmath
 import pytest
 
 from mevreg.cli import _thm_pairs
-from mevreg.eisenstein import EisensteinSpec, EllipticParam, TauQSeries, e_series
+from mevreg.eisenstein import EisensteinSpec, EllipticParam, e_series
 from mevreg import mellin as ML
 from mevreg import mev as M
 from mevreg import regulator as RG
 from mevreg.regint import AdmissibleForm, modular_letter, word_integral_zero_to_infinity
 from mevreg.specfun import ZETA3, ZETA_PRIME_MINUS2, bernoulli_poly
 
-from oracles import CUT, mellin_g_product_quadrature
+from oracles import CUT, lvalue_factors, mellin_g_product_quadrature, series_from_terms
 
-X = EllipticParam.of
+X = EllipticParam
 
 # frozen from the quadrature-Mellin oracle (agrees with the continuation
 # to 1.4e-15): L'(G1;5_{1,2} G1;5_{2,1}, -1)
@@ -84,16 +84,16 @@ def test_pole_bookkeeping_grid():
 
 
 def test_numeric_zero_and_polynomial_forms():
-    empty = TauQSeries({}, F(12))
+    empty = series_from_terms({}, F(12))
     assert ML.mellin_numeric(AdmissibleForm(empty, empty), 1.7).value == 0.0
-    poly = TauQSeries({(F(0), 0): 2.0, (F(0), 1): -1.0}, F(12))
+    poly = series_from_terms({(F(0), 0): 2.0, (F(0), 1): -1.0}, F(12))
     assert ML.mellin_numeric(AdmissibleForm(poly, empty), 1.7).value == 0.0
 
 
 def test_numeric_pole_flagging():
     # a polynomial stratum tau^m on the inf side puts a simple pole at s = -m
-    inf = TauQSeries({(F(0), 1): 2.0, (F(1), 0): 1.0}, F(12))
-    zero = TauQSeries({(F(1), 0): 1.0}, F(12))
+    inf = series_from_terms({(F(0), 1): 2.0, (F(1), 0): 1.0}, F(12))
+    zero = series_from_terms({(F(1), 0): 1.0}, F(12))
     res = ML.mellin_numeric(AdmissibleForm(inf, zero), -1.0)
     assert res.is_constant_term_of_laurent
     # residue of -c i^m/(s+m) at s = -1 with c = 2, m = 1 is -2i
@@ -146,20 +146,12 @@ def test_l_deriv_against_quadrature_oracle():
     assert ML.l_deriv_weight2_at_minus1(x, y) == pytest.approx(want, abs=1e-9)
 
 
-def _lvalue_factors(a, b):
-    """The two G1 x G1 products of the regulator's Mellin side, plus and minus."""
-    return (
-        [(1, X(a.x1, b.x2)), (1, X(b.x1, -a.x2))],
-        [(1, X(a.x1, -b.x2)), (1, X(b.x1, a.x2))],
-    )
-
-
 @pytest.mark.parametrize("level", [5, 7, 11])
 def test_lvalue_mellin_against_quadrature_oracle(level):
     # the quadrature shares no code with the incomplete-gamma continuation,
     # so it checks the Mellin value that thm1 and thm2 both read
     for a, b in _thm_pairs(level):
-        plus, minus = _lvalue_factors(a, b)
+        plus, minus = lvalue_factors(a, b)
         want = sum(mellin_g_product_quadrature(f, -1.0) for f in (plus, minus))
         assert abs(RG._lvalue_mellin(a, b, CUT) - want) <= 1e-13
 
@@ -193,7 +185,7 @@ def test_mellin_numeric_sums_lvalue_terms_to_rounding(level):
         if not any(p.has_zero_coord for p in (a, b, -(a + b))):
             pairs.append((a, b))
     for a, b in pairs:
-        plus, minus = _lvalue_factors(a, b)
+        plus, minus = lvalue_factors(a, b)
         form = ML.g_product_form(plus) + ML.g_product_form(minus)
         got = ML.mellin_numeric(form, -1.0).value
         assert got == RG._lvalue_mellin(a, b, CUT)

@@ -11,7 +11,7 @@ from mevreg.eisenstein import EisensteinSpec
 
 from oracles import lambda_double_quadrature
 
-X = EllipticParam.of
+X = EllipticParam
 TWO_PI_I = 2j * math.pi
 
 # frozen from the nested-quadrature oracle (two tolerances agreed to 6e-17)

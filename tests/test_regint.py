@@ -13,9 +13,9 @@ from mevreg.eisenstein import EllipticParam, TauQSeries, e_series, eichler_serie
 from mevreg import regint as R
 from mevreg.regulator import regulator_report
 
-from oracles import eval_e2_anywhere, nested_convergent_quadrature
+from oracles import eval_e2_anywhere, nested_convergent_quadrature, series_from_terms
 
-X = EllipticParam.of
+X = EllipticParam
 TWO_PI_I = 2j * math.pi
 
 
@@ -25,7 +25,7 @@ def rand_series(rng, nterms=25, cutoff=F(12)) -> TauQSeries:
         alpha = F(rng.randint(0, 4 * int(cutoff)), 4)
         m = rng.randint(0, 3)
         terms[(alpha, m)] = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-    return TauQSeries(terms, cutoff)
+    return series_from_terms(terms, cutoff)
 
 
 def series_max_diff(a, b):
@@ -39,8 +39,8 @@ def series_max_diff(a, b):
 
 
 def test_mul_series_basic():
-    one_plus_q = TauQSeries({(F(0), 0): 1.0, (F(1), 0): 1.0}, F(12))
-    one_minus_q = TauQSeries({(F(0), 0): 1.0, (F(1), 0): -1.0}, F(12))
+    one_plus_q = series_from_terms({(F(0), 0): 1.0, (F(1), 0): 1.0}, F(12))
+    one_minus_q = series_from_terms({(F(0), 0): 1.0, (F(1), 0): -1.0}, F(12))
     prod = R.mul_series(one_plus_q, one_minus_q)
     assert prod.coeff(0, 0) == 1.0
     assert prod.coeff(1, 0) == 0.0
@@ -77,7 +77,7 @@ def test_conj_axis():
     rng = random.Random(3)
     a = rand_series(rng)
     assert series_max_diff(R.conj_axis(R.conj_axis(a)), a) == 0.0
-    real_flat = TauQSeries({(F(1), 0): 2.0, (F(3, 2), 0): -1.5}, F(12))
+    real_flat = series_from_terms({(F(1), 0): 2.0, (F(3, 2), 0): -1.5}, F(12))
     assert series_max_diff(R.conj_axis(real_flat), real_flat) == 0.0
     y = 1.7
     assert R.evaluate_at(R.conj_axis(a), y) == pytest.approx(
@@ -86,7 +86,7 @@ def test_conj_axis():
 
 
 def test_antiderivative_examples():
-    omega = TauQSeries({(F(0), 0): 2.5, (F(1), 0): 3.0}, F(12))
+    omega = series_from_terms({(F(0), 0): 2.5, (F(1), 0): 3.0}, F(12))
     prim = R.antiderivative_to_infinity(omega)
     assert prim.coeff(0, 1) == pytest.approx(2.5)
     assert prim.coeff(1, 0) == pytest.approx(3.0 / TWO_PI_I)
@@ -106,14 +106,14 @@ def test_reg_value_examples():
     assert e_series(2, X(F(1, 4), F(2, 5))).coeff(0, 0) == pytest.approx(-1.0 / 96.0)
     assert eichler_series(2, X(F(1, 5), F(1, 5))).coeff(0, 0) == 0.0
     f = rand_series(random.Random(5))
-    shifted = f + TauQSeries({(F(1), 0): 9.0}, f.cutoff)
+    shifted = f + series_from_terms({(F(1), 0): 9.0}, f.cutoff)
     assert shifted.coeff(0, 0) == f.coeff(0, 0)
 
 
 def test_evaluate_at():
-    q = TauQSeries({(F(1), 0): 1.0}, F(12))
+    q = series_from_terms({(F(1), 0): 1.0}, F(12))
     assert R.evaluate_at(q, 1.0) == pytest.approx(math.exp(-2 * math.pi), abs=1e-18)
-    tau = TauQSeries({(F(0), 1): 1.0}, F(12))
+    tau = series_from_terms({(F(0), 1): 1.0}, F(12))
     assert R.evaluate_at(tau, 1.0) == pytest.approx(1j)
     with pytest.raises(ValueError):
         R.evaluate_at(q, 0.3)

@@ -10,7 +10,7 @@ from mevreg import regulator as RG
 
 from oracles import eta_quadrature
 
-X = EllipticParam.of
+X = EllipticParam
 
 
 def test_boundary_rejection():

@@ -21,6 +21,8 @@ from mevreg.eisenstein import EisensteinSpec, EllipticParam, TauQSeries, g_serie
 from mevreg.identities import _g_exact
 from mevreg import regint as R
 
+from oracles import series_from_terms
+
 TWO_PI_I = 2j * math.pi
 REL_TOL = 1e-13
 
@@ -109,7 +111,7 @@ def random_series(draw):
     coeffs = st.floats(-1.0, 1.0, allow_nan=False)
     keys = st.tuples(st.integers(0, jmax), st.integers(0, 3))
     terms = draw(st.dictionaries(keys, st.tuples(coeffs, coeffs), max_size=40))
-    return TauQSeries(
+    return series_from_terms(
         {(F(j, n), m): complex(re, im) for (j, m), (re, im) in terms.items()}, cutoff
     )
 

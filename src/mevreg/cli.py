@@ -54,7 +54,10 @@ def _parse_rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(
             f"rationals are parsed as p/q strings, got {text!r}"
         )
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError(f"zero denominator in {text!r}") from None
 
 
 def _parse_pair(text: str) -> EllipticParam:
@@ -347,7 +350,7 @@ def main(argv=None) -> int:
         if args.level is not None and args.level < 2:
             raise ValueError(f"--level must be at least 2, got {args.level}")
         return args.func(args)
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, argparse.ArgumentTypeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

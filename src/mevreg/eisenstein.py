@@ -274,26 +274,6 @@ class TauQSeries:
             return self
         return TauQSeries._make(self.L, self.j, self.m + j, self.c, self.cutoff)
 
-    def derivative(self) -> "TauQSeries":
-        """d/d(tau): tau^m q^alpha -> m tau^{m-1} q^alpha + 2 pi i alpha tau^m q^alpha."""
-        lowered = self.m >= 1
-        moving = self.j != 0
-        return TauQSeries.from_grid(
-            self.L,
-            np.concatenate([self.j[lowered], self.j[moving]]),
-            np.concatenate([self.m[lowered] - 1, self.m[moving]]),
-            np.concatenate(
-                [
-                    self.m[lowered] * self.c[lowered],
-                    TWO_PI_I * (self.j[moving] / self.L) * self.c[moving],
-                ]
-            ),
-            self.cutoff,
-        )
-
-    def max_abs_coeff(self) -> float:
-        return float(np.abs(self.c).max(initial=0.0))
-
     def __repr__(self) -> str:
         return f"TauQSeries({len(self)} terms, cutoff={self.cutoff})"
 

@@ -283,7 +283,7 @@ def _product_form(
     for f_inf, f_zero in functions:
         inf = mul_series(inf, f_inf)
         zero = mul_series(zero, f_zero)
-    return AdmissibleForm(inf, zero, "holomorphic", "product")
+    return AdmissibleForm(inf, zero, "product")
 
 
 def _a3_piece(

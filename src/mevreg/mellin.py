@@ -20,6 +20,10 @@ Two pipelines:
   side); at a pole those terms are dropped into the residue and the
   remainder is the exact Laurent constant term.
 
+The two-sided forms (``eisenstein_form``, ``g_product_form`` and the
+exponent-swapped ``swap_form``) are built by ``regint.product_form``, which
+reads their sigma sides from ``eisenstein.sigma_companion``.
+
 Products of two Eisenstein series are always continued numerically, never
 symbolically; the constant-term algebra of the reduction to L-values is
 exercised as cancellation tests instead of being part of the computation
@@ -34,24 +38,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from mevreg.eisenstein import (
-    DEFAULT_CUTOFF,
-    EisensteinSpec,
-    EllipticParam,
-    g_series,
-    h_series,
-    series_for,
-    sigma_companion,
-)
+from mevreg.eisenstein import DEFAULT_CUTOFF, EisensteinSpec, EllipticParam
 from mevreg.regint import (
     AdmissibleForm,
     modular_letter,
-    mul_series,
+    product_form,
     word_integral_zero_to_infinity,
 )
 from mevreg.specfun import (
@@ -72,6 +67,7 @@ __all__ = [
     "laurent_constant",
     "mellin_eisenstein_closed",
     "mellin_numeric",
+    "swap_form",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -136,15 +132,12 @@ def _closed_factor_singular(family: str, k: int, x: EllipticParam, s: complex) -
     return False
 
 
-def mellin_eisenstein_closed(
-    spec: EisensteinSpec, s: complex, constant_term: bool = True
-) -> MellinResult:
+def mellin_eisenstein_closed(spec: EisensteinSpec, s: complex) -> MellinResult:
     """Closed-form M for a single series of family E or G.
 
     When a Gamma/zeta factor is singular at s the value returned is the
     Laurent constant term M*(f, s) (together with the residue when the
-    combination genuinely has a pole); pass ``constant_term=False`` to get
-    an error instead.
+    combination genuinely has a pole).
     """
     if spec.family not in ("E", "G"):
         raise ValueError("closed Mellin forms exist for families E and G only")
@@ -152,10 +145,6 @@ def mellin_eisenstein_closed(
     s = complex(s)
     if not _closed_factor_singular(spec.family, k, x, s):
         return MellinResult(_closed_value(spec.family, k, x, s))
-    if not constant_term:
-        raise ZeroDivisionError(
-            f"M({spec}, s) evaluated at the singular point s = {s}"
-        )
     const, residue = laurent_constant(
         lambda w: _closed_value(spec.family, k, x, w), s
     )
@@ -210,31 +199,34 @@ def eisenstein_form(
     spec: EisensteinSpec, cutoff: Fraction = DEFAULT_CUTOFF
 ) -> AdmissibleForm:
     """Two-sided form f d(tau) for a single series of weight >= 2."""
-    if spec.weight < 2:
-        raise ValueError("weight-1 series are not admissible on their own")
-    comp, sign = sigma_companion(spec)
-    inf = series_for(spec, cutoff)
-    zero = series_for(comp, cutoff).shift_tau(spec.weight - 2).scale(sign)
-    return AdmissibleForm(inf, zero, "holomorphic", str(spec))
+    return product_form((spec,), cutoff, label=str(spec))
 
 
 def g_product_form(
     factors: Sequence[tuple[int, EllipticParam]],
     cutoff: Fraction = DEFAULT_CUTOFF,
 ) -> AdmissibleForm:
-    """Form (prod_i G^(k_i)_{x_i}) d(tau) with its sigma-side H-product.
+    """Form (prod_i G^(k_i)_{x_i}) d(tau); its sigma side is the H-product."""
+    return product_form(
+        [EisensteinSpec("G", k, x) for k, x in factors],
+        cutoff,
+        label="*".join(f"G{k}{x}" for k, x in factors),
+    )
 
-    Each factor transforms as G^(k)(-1/tau) = (-1)^k tau^k H^(k)(tau), so the
-    pullback coefficient is (-1)^{sum k} tau^{sum k - 2} times the H-product.
+
+def swap_form(
+    u: EllipticParam, v: EllipticParam, k: int, sign: int, cutoff: Fraction
+) -> AdmissibleForm:
+    """The exponent-swapped product
+    G^(1)_{u1,v2} G^(k)_{v1,-u2} + sign * G^(1)_{u1,-v2} G^(k)_{v1,u2}.
     """
-    total_k = sum(k for k, _ in factors)
-    if total_k < 2:
-        raise ValueError("total weight must be >= 2")
-    inf = reduce(mul_series, [g_series(k, x, cutoff) for k, x in factors])
-    zero = reduce(mul_series, [h_series(k, x, cutoff) for k, x in factors])
-    zero = zero.shift_tau(total_k - 2).scale((-1) ** total_k)
-    label = "*".join(f"G{k}{x}" for k, x in factors)
-    return AdmissibleForm(inf, zero, "holomorphic", label)
+    first = g_product_form(
+        [(1, EllipticParam(u.x1, v.x2)), (k, EllipticParam(v.x1, -u.x2))], cutoff
+    )
+    second = g_product_form(
+        [(1, EllipticParam(u.x1, -v.x2)), (k, EllipticParam(v.x1, u.x2))], cutoff
+    )
+    return first + second.scale(sign)
 
 
 # ---------------------------------------------------------------------------
@@ -300,15 +292,7 @@ def im_i_rz(
         raise ValueError("weight ell must be >= 2")
     if u.has_zero_coord or v.has_zero_coord:
         raise ValueError("coordinates must be nonzero")
-    plus = g_product_form(
-        [(1, EllipticParam(u.x1, v.x2)), (ell - 1, EllipticParam(v.x1, -u.x2))],
-        cutoff,
-    )
-    minus = g_product_form(
-        [(1, EllipticParam(u.x1, -v.x2)), (ell - 1, EllipticParam(v.x1, u.x2))],
-        cutoff,
-    )
-    res = mellin_numeric(plus - minus, 0.0)
+    res = mellin_numeric(swap_form(u, v, ell - 1, -1, cutoff), 0.0)
     if res.is_constant_term_of_laurent:
         raise ZeroDivisionError("unexpected pole at s = 0")
     return -0.5 * res.value.real

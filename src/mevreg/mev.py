@@ -172,36 +172,26 @@ def length_drop_rhs(
         raise ValueError("p out of range")
     kp = weights[p - 1]
 
-    def plain_letters(spec_list):
-        out = []
-        for item in spec_list:
-            if isinstance(item, AdmissibleForm):
-                out.append(item)
-            else:
-                k, x = item
-                out.append(modular_letter(k, x, 1, cutoff))
-        return out
+    def plain(lo: int, hi: int) -> list[AdmissibleForm]:
+        return [modular_letter(weights[i], params[i], 1, cutoff) for i in range(lo, hi)]
 
-    base = [(weights[i], params[i]) for i in range(n)]
     scale = (TWO_PI_I) ** n
     if p == n:
         a0 = e_series(kp - 1, params[n - 1], cutoff).coeff(0, 0)
         if n == 1:
             first = a0
         else:
-            first = a0 * lambda_word(plain_letters(base[: n - 1])).value
+            first = a0 * lambda_word(plain(0, n - 1)).value
     else:
         merged = merged_product_letter(
             [(kp - 1, params[p - 1]), (weights[p], params[p])], cutoff
         )
-        word = base[: p - 1] + [merged] + base[p + 1 :]
-        first = lambda_word(plain_letters(word)).value
+        first = lambda_word(plain(0, p - 1) + [merged] + plain(p + 1, n)).value
     if p == 1:
         second = 0.0 + 0.0j
     else:
         merged = merged_product_letter(
             [(weights[p - 2], params[p - 2]), (kp - 1, params[p - 1])], cutoff
         )
-        word = base[: p - 2] + [merged] + base[p:]
-        second = lambda_word(plain_letters(word)).value
+        second = lambda_word(plain(0, p - 2) + [merged] + plain(p, n)).value
     return scale * (first - second)

@@ -10,9 +10,12 @@ the same form:
   describing f near 0).
 
 Both sides are plain series with nonnegative tau-powers; this holds for all
-the modular letters used here.  The two expansions of one form satisfy
-g(i) = -f(i), which the tests use as a consistency probe of every
-sigma-companion table.
+the modular letters used here.  ``product_form`` is the one constructor of
+the two-sided forms of Eisenstein products (the E-letters here, the G/H
+forms of ``mellin``); the sigma data it applies come from
+``eisenstein.sigma_companion``, the only sigma table.  The two expansions
+of one form satisfy g(i) = -f(i), which the tests use as a consistency
+probe of that table.
 
 Regularisation conventions (right-nested):
 
@@ -51,10 +54,12 @@ import numpy as np
 
 from mevreg.eisenstein import (
     DEFAULT_CUTOFF,
+    EisensteinSpec,
     EllipticParam,
     TauQSeries,
-    e_series,
     grid_limit,
+    series_for,
+    sigma_companion,
 )
 
 __all__ = [
@@ -69,6 +74,7 @@ __all__ = [
     "modular_letter",
     "mul_series",
     "one_series",
+    "product_form",
     "shuffle_expand",
     "siegel_letter",
     "word_integral_to_infinity",
@@ -225,25 +231,21 @@ class AdmissibleForm:
 
     inf_side: TauQSeries
     zero_side: TauQSeries
-    channel: str = "holomorphic"
     label: str = ""
 
     def sigma_pullback(self) -> "AdmissibleForm":
         """The pulled-back form; sigma is an involution on forms."""
-        return AdmissibleForm(
-            self.zero_side, self.inf_side, self.channel, self.label + "^s"
-        )
+        return AdmissibleForm(self.zero_side, self.inf_side, self.label + "^s")
 
     def scale(self, c: complex) -> "AdmissibleForm":
         return AdmissibleForm(
-            self.inf_side.scale(c), self.zero_side.scale(c), self.channel, self.label
+            self.inf_side.scale(c), self.zero_side.scale(c), self.label
         )
 
     def __add__(self, other: "AdmissibleForm") -> "AdmissibleForm":
         return AdmissibleForm(
             self.inf_side + other.inf_side,
             self.zero_side + other.zero_side,
-            self.channel if self.channel == other.channel else "holomorphic",
             f"{self.label}+{other.label}",
         )
 
@@ -263,31 +265,34 @@ def _letters_of(word) -> tuple[AdmissibleForm, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _letter_from_function(
-    f: TauQSeries,
-    f_sigma: TauQSeries,
-    weight: int,
-    sign: int,
-    tau_power: int,
-    channel: str,
-    label: str,
+def product_form(
+    specs: Sequence[EisensteinSpec],
+    cutoff: Fraction = DEFAULT_CUTOFF,
+    tau_power: int = 0,
+    label: str = "",
 ) -> AdmissibleForm:
-    """Letter f(tau) tau^{m'} d(tau) from sigma data f(-1/tau) = sign tau^K f2.
+    """Form (prod_i f_i)(tau) tau^{m'} d(tau) from the series f_i of ``specs``.
 
-    The pullback coefficient is (-1)^{m'} sign tau^{K - m' - 2} f2(tau);
-    K - m' - 2 >= 0 is exactly the admissibility constraint at 0.
+    With f_i(-1/tau) = s_i tau^{k_i} f'_i(tau) from ``sigma_companion`` and
+    K = sum k_i, the pullback coefficient is
+    (-1)^{m'} (prod_i s_i) tau^{K - m' - 2} (prod_i f'_i)(tau);
+    0 <= m' <= K - 2 is exactly admissibility at oo and at 0.
     """
-    j = weight - tau_power - 2
-    if j < 0:
+    total_k = sum(spec.weight for spec in specs)
+    if not 0 <= tau_power <= total_k - 2:
         raise ValueError(
-            f"tau power {tau_power} too large for weight {weight}: not admissible at 0"
+            f"tau power {tau_power} is not admissible at total weight {total_k}: "
+            f"need 0 <= m' <= {total_k - 2}"
         )
-    inf = f.shift_tau(tau_power)
-    zero = f_sigma.shift_tau(j).scale(sign * (-1) ** tau_power)
-    if channel != "holomorphic":
-        inf = channel_series(inf, channel)
-        zero = channel_series(zero, channel)
-    return AdmissibleForm(inf, zero, channel, label)
+    companions = [sigma_companion(spec) for spec in specs]
+    inf = reduce(mul_series, [series_for(spec, cutoff) for spec in specs])
+    zero = reduce(mul_series, [series_for(comp, cutoff) for comp, _ in companions])
+    sign = (-1) ** tau_power * math.prod(s for _, s in companions)
+    return AdmissibleForm(
+        inf.shift_tau(tau_power),
+        zero.shift_tau(total_k - tau_power - 2).scale(sign),
+        label,
+    )
 
 
 @lru_cache(maxsize=2048)
@@ -296,17 +301,10 @@ def modular_letter(
     x: EllipticParam,
     m: int = 1,
     cutoff: Fraction = DEFAULT_CUTOFF,
-    channel: str = "holomorphic",
 ) -> AdmissibleForm:
     """Letter E^(k)_x(tau) tau^{m-1} d(tau), admissible for 1 <= m <= k-1."""
-    if k < 2:
-        raise ValueError("single letters need weight >= 2")
-    if not 1 <= m <= k - 1:
-        raise ValueError(f"tau-power m = {m} violates 1 <= m <= k-1 = {k - 1}")
-    f = e_series(k, x, cutoff)
-    f_sigma = e_series(k, x.sigma(), cutoff)
-    return _letter_from_function(
-        f, f_sigma, k, 1, m - 1, channel, f"E{k}{x}t^{m - 1}"
+    return product_form(
+        (EisensteinSpec("E", k, x),), cutoff, m - 1, f"E{k}{x}t^{m - 1}"
     )
 
 
@@ -323,30 +321,24 @@ def siegel_letter(
     """
     if x.is_zero:
         raise ValueError("Siegel-unit letters need a nonzero parameter")
-    f = e_series(2, x, cutoff).scale(TWO_PI_I)
-    f_sigma = e_series(2, x.sigma(), cutoff).scale(TWO_PI_I)
-    return _letter_from_function(f, f_sigma, 2, 1, 0, channel, f"w{channel[0]}{x}")
+    # channel_series is conjugate-linear, so the 2 pi i goes in first
+    form = product_form((EisensteinSpec("E", 2, x),), cutoff).scale(TWO_PI_I)
+    return AdmissibleForm(
+        channel_series(form.inf_side, channel),
+        channel_series(form.zero_side, channel),
+        f"w{channel[0]}{x}",
+    )
 
 
 def merged_product_letter(
     factors: Sequence[tuple[int, EllipticParam]],
     cutoff: Fraction = DEFAULT_CUTOFF,
 ) -> AdmissibleForm:
-    """Letter (prod_i E^(k_i)_{x_i})(tau) d(tau) for merged-product words.
-
-    The pullback multiplies the sigma-moved factors and shifts by
-    tau^{sum k_i - 2}.
-    """
-    total_k = sum(k for k, _ in factors)
-    if total_k < 2:
-        raise ValueError("total weight of a merged letter must be >= 2")
-    inf = reduce(mul_series, [e_series(k, x, cutoff) for k, x in factors])
-    zero = reduce(mul_series, [e_series(k, x.sigma(), cutoff) for k, x in factors])
-    return AdmissibleForm(
-        inf,
-        zero.shift_tau(total_k - 2),
-        "holomorphic",
-        "*".join(f"E{k}{x}" for k, x in factors),
+    """Letter (prod_i E^(k_i)_{x_i})(tau) d(tau) for merged-product words."""
+    return product_form(
+        [EisensteinSpec("E", k, x) for k, x in factors],
+        cutoff,
+        label="*".join(f"E{k}{x}" for k, x in factors),
     )
 
 

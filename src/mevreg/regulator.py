@@ -35,7 +35,7 @@ from fractions import Fraction
 from typing import Optional
 
 from mevreg.eisenstein import DEFAULT_CUTOFF, EllipticParam, log_siegel_series
-from mevreg.mellin import g_product_form, im_i_direct, mellin_numeric
+from mevreg.mellin import im_i_direct, mellin_numeric, swap_form
 from mevreg.mev import lambda_word
 from mevreg.regint import siegel_letter, word_integral_zero_to_infinity
 from mevreg.specfun import ZETA3, ZETA_PRIME_MINUS2, bernoulli_poly
@@ -155,13 +155,7 @@ def _lvalue_mellin(
     a: EllipticParam, b: EllipticParam, cutoff: Fraction
 ) -> complex:
     """M(G1_{a1,b2} G1_{b1,-a2} + G1_{a1,-b2} G1_{b1,a2}, -1)."""
-    plus = g_product_form(
-        [(1, EllipticParam(a.x1, b.x2)), (1, EllipticParam(b.x1, -a.x2))], cutoff
-    )
-    minus = g_product_form(
-        [(1, EllipticParam(a.x1, -b.x2)), (1, EllipticParam(b.x1, a.x2))], cutoff
-    )
-    res = mellin_numeric(plus + minus, -1.0)
+    res = mellin_numeric(swap_form(a, b, 1, 1, cutoff), -1.0)
     if res.is_constant_term_of_laurent:
         raise ZeroDivisionError("unexpected pole at s = -1")
     return res.value
@@ -266,13 +260,7 @@ def dg_da2(
             combo += su * sv * im_i_direct(u, v, 3, cutoff)
     iterated = 4.0 * math.pi**2 * combo
 
-    swap_plus = g_product_form(
-        [(1, EllipticParam(a.x1, b.x2)), (2, EllipticParam(b.x1, -a.x2))], cutoff
-    )
-    swap_minus = g_product_form(
-        [(1, EllipticParam(a.x1, -b.x2)), (2, EllipticParam(b.x1, a.x2))], cutoff
-    )
-    m0 = mellin_numeric(swap_plus - swap_minus, 0.0).value.real
+    m0 = mellin_numeric(swap_form(a, b, 2, -1, cutoff), 0.0).value.real
     g3 = -2.0 * ZETA_PRIME_MINUS2 * (
         bernoulli_poly(1, a.x2) + 2.0 * bernoulli_poly(1, b.x2)
     )

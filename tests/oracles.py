@@ -5,17 +5,21 @@ the incomplete-gamma continuation: values are produced by literal adaptive
 quadrature of the defining integrals (with explicit polynomial-part
 subtraction where the regularisation requires it), or by direct partial
 summation.  The tests freeze oracle outputs or run the oracles live and
-compare pipelines.
+compare pipelines.  The module also holds the series and subprocess helpers
+that only the tests use.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import os
 from fractions import Fraction
 
+import numpy as np
 from scipy.integrate import quad
 
+import mevreg
 from mevreg.eisenstein import (
     EllipticParam,
     TauQSeries,
@@ -78,6 +82,35 @@ def series_from_terms(terms, cutoff) -> TauQSeries:
         [c for _, _, c in kept],
         cutoff,
     )
+
+
+def child_env(**extra: str) -> dict:
+    """Environment of a child interpreter that imports mevreg from the tree under test."""
+    src = os.path.dirname(os.path.dirname(mevreg.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path, **extra}
+
+
+def series_derivative(f: TauQSeries) -> TauQSeries:
+    """d/d(tau): tau^m q^alpha -> m tau^{m-1} q^alpha + 2 pi i alpha tau^m q^alpha."""
+    lowered = f.m >= 1
+    moving = f.j != 0
+    return TauQSeries.from_grid(
+        f.L,
+        np.concatenate([f.j[lowered], f.j[moving]]),
+        np.concatenate([f.m[lowered] - 1, f.m[moving]]),
+        np.concatenate(
+            [
+                f.m[lowered] * f.c[lowered],
+                2j * math.pi * (f.j[moving] / f.L) * f.c[moving],
+            ]
+        ),
+        f.cutoff,
+    )
+
+
+def max_abs_coeff(f: TauQSeries) -> float:
+    return float(np.abs(f.c).max(initial=0.0))
 
 
 # ---------------------------------------------------------------------------

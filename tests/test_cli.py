@@ -1,12 +1,13 @@
 import json
 import math
-import os
 import subprocess
 import sys
 
 import pytest
 
 from mevreg.cli import main
+
+from oracles import child_env
 
 
 def run_cli(args, capsys):
@@ -107,6 +108,7 @@ def test_console_entry_point_runs():
         capture_output=True,
         text=True,
         timeout=120,
+        env=child_env(),
     )
     assert proc.returncode == 0
     assert "0.392699" in proc.stdout
@@ -148,6 +150,11 @@ def test_console_entry_point_runs():
         ["mev", "--params", "1/4,1/4", "--level", "7"],
         ["qdump", "--family", "E", "--params", "1/5,2/5", "--level", "5"],
         ["qdump", "--family", "E", "--params", "1/5,2/5", "--tol", "1e-3"],
+        # malformed words used to end in a traceback (the first two) or in
+        # "error: Fraction(1, 0)"
+        ["mev", "--params", "abc"],
+        ["mev", "--params", "0.25,1/4"],
+        ["mev", "--params", "1/0,1/4"],
     ],
 )
 def test_bad_input_is_one_line_error(args, capsys):
@@ -157,6 +164,24 @@ def test_bad_input_is_one_line_error(args, capsys):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        # a zero denominator used to end in a ZeroDivisionError traceback
+        ["mev", "--params", "1/4,1/4", "--cutoff", "1/0"],
+        ["regulator", "--a", "1/5,1/0", "--b", "2/5,3/5"],
+        ["qdump", "--params", "1/0,1/3"],
+    ],
+)
+def test_zero_denominator_is_usage_error(args, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].endswith("zero denominator in '1/0'")
 
 
 def test_verify_suite_without_instances_fails(capsys):
@@ -176,7 +201,7 @@ def test_bad_precision_is_one_line_error():
         capture_output=True,
         text=True,
         timeout=120,
-        env={**os.environ, "MEVREG_PRECISION": "abc"},
+        env=child_env(MEVREG_PRECISION="abc"),
     )
     assert proc.returncode == 2
     assert proc.stdout == ""

@@ -9,11 +9,23 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mevreg
-from mevreg.eisenstein import EllipticParam, TauQSeries, e_series, eichler_series
+from mevreg.eisenstein import (
+    EisensteinSpec,
+    EllipticParam,
+    TauQSeries,
+    e_series,
+    eichler_series,
+)
+from mevreg import mellin as ML
 from mevreg import regint as R
 from mevreg.regulator import regulator_report
 
-from oracles import eval_e2_anywhere, nested_convergent_quadrature, series_from_terms
+from oracles import (
+    eval_e2_anywhere,
+    nested_convergent_quadrature,
+    series_derivative,
+    series_from_terms,
+)
 
 X = EllipticParam
 TWO_PI_I = 2j * math.pi
@@ -98,7 +110,7 @@ def test_antiderivative_inverts_derivative():
     for _ in range(50):
         f = rand_series(rng)
         prim = R.antiderivative_to_infinity(f)
-        assert series_max_diff(prim.derivative(), f) < 1e-12
+        assert series_max_diff(series_derivative(prim), f) < 1e-12
         assert prim.coeff(0, 0) == 0.0
 
 
@@ -148,23 +160,33 @@ def test_word_integral_derivative_property():
     outer = R.word_integral_to_infinity([l1, l2])
     inner = R.word_integral_to_infinity([l2])
     want = R.mul_series(l1.inf_side, inner).scale(-1.0)
-    assert series_max_diff(outer.derivative(), want) < 1e-12
+    assert series_max_diff(series_derivative(outer), want) < 1e-12
     assert outer.coeff(0, 0) == 0.0
 
 
 def test_zero_side_consistency_at_i():
-    # the two expansions of one form satisfy g(i) = -f(i)
-    letters = [
+    # the two expansions of one form satisfy g(i) = -f(i): a probe of the
+    # sigma table on every family, E, G and H
+    forms = [
         R.siegel_letter(X(F(1, 5), F(2, 5))),
         R.siegel_letter(X(F(1, 3), F(1, 7)), "plus"),
         R.siegel_letter(X(F(2, 7), F(1, 6)), "minus"),
         R.modular_letter(3, X(F(1, 5), F(3, 5)), 2),
         R.merged_product_letter(((1, X(F(1, 5), F(1, 5))), (2, X(F(2, 5), F(1, 5))))),
+        ML.g_product_form([(1, X(F(1, 5), F(2, 5))), (1, X(F(2, 5), F(4, 5)))]),
+        ML.g_product_form([(1, X(F(1, 7), F(3, 7))), (2, X(F(2, 7), F(5, 7)))]),
     ]
-    for letter in letters:
-        lhs = R.evaluate_at(letter.zero_side, 1.0)
-        rhs = -R.evaluate_at(letter.inf_side, 1.0)
-        assert abs(lhs - rhs) < 1e-10
+    for family in ("E", "G", "H"):
+        for k in (2, 3, 4):
+            for x in (X(F(1, 5), F(2, 5)), X(0, F(1, 3)), X(F(2, 7), 0)):
+                # H^(2) needs x1 != 0, and it is the sigma companion of G^(2)
+                if family != "E" and k == 2 and x.x1 == 0:
+                    continue
+                forms.append(ML.eisenstein_form(EisensteinSpec(family, k, x)))
+    for form in forms:
+        lhs = R.evaluate_at(form.zero_side, 1.0)
+        rhs = -R.evaluate_at(form.inf_side, 1.0)
+        assert abs(lhs - rhs) < 1e-10, form.label
 
 
 def test_modular_letter_admissibility_guard():
@@ -258,9 +280,9 @@ def test_newton_leibniz_on_eichler_products():
     prod_inf = R.mul_series(fx, gy)
     prod_zero = R.mul_series(fx0, gy0)
     # sigma-pullback of an exact form is the differential of the pulled-back
-    # function, so the zero side of d(FG) is just prod_zero.derivative()
+    # function, so the zero side of d(FG) is just the derivative of prod_zero
     dform = R.AdmissibleForm(
-        prod_inf.derivative(), prod_zero.derivative(), "holomorphic", "d(FG)"
+        series_derivative(prod_inf), series_derivative(prod_zero), "d(FG)"
     )
     assert (
         abs(R.evaluate_at(dform.zero_side, 1.0) + R.evaluate_at(dform.inf_side, 1.0))

@@ -12,7 +12,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from scipy.integrate import quad
 
 from mevreg import specfun as sf
-from oracles import e2pi
+from oracles import child_env, e2pi
 
 CATALAN = 0.9159655941772190
 
@@ -92,6 +92,7 @@ def _loaded_by_import(module: str) -> bool:
         capture_output=True,
         text=True,
         timeout=120,
+        env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip() == "True"
@@ -426,7 +427,7 @@ ORDERS = st.one_of(
 )
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80, deadline=None, derandomize=True)
 @given(
     ORDERS,
     st.sampled_from(GRID_LEVELS),

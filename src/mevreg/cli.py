@@ -12,12 +12,14 @@ Subcommands:
 
 Rationals are parsed as ``p/q`` strings, never floats.  Output is
 deterministic for a fixed configuration (maps are emitted sorted, floats
-via repr).  The environment variable ``MEVREG_PRECISION`` selects the
-mpmath working precision used by the dilogarithm backend; a value that is
-not a positive integer is an input error (exit status 2), and so are a
-``--tol`` that is not finite and positive, a ``--level`` below 2, and a
-flag the subcommand would ignore (``--tol`` and ``--level`` on ``mev``,
-``--tol`` on ``qdump``, ``--level`` on ``qdump`` outside the GN family).
+via repr).  Each subcommand writes only its own formats (``_FORMATS``, the
+first one the default): ``mev`` and ``regulator`` json and text, ``qdump``
+csv, ``verify`` all three.  Any other ``--format`` is an input error (exit
+status 2), and so are a ``--tol`` that is not finite and positive, a
+``--level`` below 2, and a flag the subcommand would ignore (``--tol`` and
+``--level`` on ``mev``, ``--tol`` on ``qdump``, ``--level`` on ``qdump``
+outside the GN family).  The letter names in the ``word`` field of ``mev``
+are spelled here; the forms themselves carry no names.
 """
 
 from __future__ import annotations
@@ -41,11 +43,17 @@ from mevreg import identities as identities_mod
 from mevreg.mellin import im_i_direct, im_i_rz
 from mevreg.mev import lambda_mev
 from mevreg.regulator import k2_regulator, regulator_report
-from mevreg.specfun import mp_precision
 
 __all__ = ["main"]
 
 _SUITES = ("bg", "shuffle", "rz", "thm1", "thm2", "k2", "all")
+
+_FORMATS = {
+    "mev": ("json", "text"),
+    "regulator": ("json", "text"),
+    "qdump": ("csv",),
+    "verify": ("json", "csv", "text"),
+}
 
 
 def _parse_rational(text: str) -> Fraction:
@@ -74,7 +82,7 @@ def _parse_word(text: str) -> list[EllipticParam]:
 def _emit(payload, fmt: str, out_path: Optional[str], csv_rows=None) -> None:
     if fmt == "json":
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    elif fmt == "csv" and csv_rows is not None:
+    elif fmt == "csv":
         text = "\n".join(csv_rows) + "\n"
     else:
         text = _as_text(payload) + "\n"
@@ -117,7 +125,7 @@ def _cmd_mev(args) -> int:
                 "params": [[str(p.x1), str(p.x2)] for p in word],
                 "value": [res.value.real, res.value.imag],
                 "truncation_bound": res.truncation_bound,
-                "word": res.word_echo,
+                "word": " ".join(f"wh{p}" for p in word),
             }
         )
     _emit(results if len(results) > 1 else results[0], args.format, args.out)
@@ -155,7 +163,7 @@ def _cmd_qdump(args) -> int:
         series = series_for(spec, args.cutoff)
         header = f"# spec: {spec}"
     rows = [header] + qdump_rows(series)
-    _emit(None, "csv", args.out, csv_rows=rows)
+    _emit(None, args.format, args.out, csv_rows=rows)
     return 0
 
 
@@ -303,40 +311,36 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, tol=None):
+    def command(name, func, help, tol=None):
+        formats = _FORMATS[name]
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
         p.add_argument("--cutoff", type=_parse_rational, default=DEFAULT_CUTOFF)
         p.add_argument("--tol", type=float, default=tol)
-        p.add_argument("--format", choices=("json", "csv", "text"), default="json")
+        p.add_argument("--format", default=formats[0], help="|".join(formats))
         p.add_argument("--out", default=None)
         p.add_argument("--level", type=int, default=None)
+        return p
 
-    p = sub.add_parser("mev", help="compute multiple Eisenstein values")
+    p = command("mev", _cmd_mev, "compute multiple Eisenstein values")
     p.add_argument(
         "--params",
         nargs="+",
         required=True,
         help="words like '1/4,1/4' or '1/5,2/5;3/5,1/5'",
     )
-    common(p)
-    p.set_defaults(func=_cmd_mev)
 
-    p = sub.add_parser("regulator", help="two-pipeline regulator report")
+    p = command("regulator", _cmd_regulator, "two-pipeline regulator report", 1e-7)
     p.add_argument("--a", type=_parse_pair, required=True)
     p.add_argument("--b", type=_parse_pair, required=True)
-    common(p, tol=1e-7)
-    p.set_defaults(func=_cmd_regulator)
 
-    p = sub.add_parser("qdump", help="CSV dump of a q-expansion")
+    p = command("qdump", _cmd_qdump, "CSV dump of a q-expansion")
     p.add_argument("--family", choices=("E", "G", "H", "GN", "logSiegel"), default="E")
     p.add_argument("--weight", type=int, default=2)
     p.add_argument("--params", nargs="*", type=_parse_pair, default=[])
-    common(p)
-    p.set_defaults(func=_cmd_qdump)
 
-    p = sub.add_parser("verify", help="run a verification suite")
+    p = command("verify", _cmd_verify, "run a verification suite", 1e-7)
     p.add_argument("--suite", choices=_SUITES, required=True)
-    common(p, tol=1e-7)
-    p.set_defaults(func=_cmd_verify)
     return parser
 
 
@@ -344,7 +348,11 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        mp_precision()  # a malformed MEVREG_PRECISION fails before any work
+        formats = _FORMATS[args.command]
+        if args.format not in formats:
+            raise ValueError(
+                f"{args.command} writes --format {' or '.join(formats)}, not {args.format!r}"
+            )
         if args.tol is not None and not (math.isfinite(args.tol) and args.tol > 0):
             raise ValueError(f"--tol must be finite and positive, got {args.tol!r}")
         if args.level is not None and args.level < 2:

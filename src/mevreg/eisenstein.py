@@ -16,8 +16,8 @@ so equal exponents merge exactly, with no float-epsilon logic.  A series
 never stores terms with alpha beyond its cutoff, and products inherit the
 smaller cutoff, so the truncation error of everything downstream is
 controlled by the smallest neglected exponent.
-The exact (Fraction(j, L), m) -> coefficient view ``terms`` is built on
-demand for printing and tests.
+A series holds numbers only: ``qdump_rows`` turns the grid indices into
+exact exponents j/L when it prints them.
 
 The families:
 
@@ -41,8 +41,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from types import MappingProxyType
-from typing import Iterator, Mapping
+from typing import Iterator
 
 import numpy as np
 
@@ -142,20 +141,11 @@ class TauQSeries:
     A series holds its grid denominator ``L`` and read-only arrays ``j``
     (int64), ``m`` (int64) and ``c`` (complex128), sorted by (j, m), with one
     entry per nonzero term and none beyond the cutoff (j <= cutoff * L).
-    Instances are immutable and freely shareable.  ``terms`` is a read-only
-    mapping (alpha, m) -> coefficient with exact ``Fraction`` exponents, built
-    on first use; it serves printing and tests, never the kernels.
+    Instances are immutable, every field written once by ``_make``, and
+    freely shareable.
     """
 
-    __slots__ = ("L", "j", "m", "c", "cutoff", "_terms")
-
-    def _set(self, L: int, j, m, c, cutoff: Fraction) -> None:
-        for arr in (j, m, c):
-            arr.setflags(write=False)
-        for name, value in (
-            ("L", L), ("j", j), ("m", m), ("c", c), ("cutoff", cutoff), ("_terms", None)
-        ):
-            object.__setattr__(self, name, value)
+    __slots__ = ("L", "j", "m", "c", "cutoff")
 
     def __setattr__(self, name, value):
         raise AttributeError("TauQSeries is immutable")
@@ -167,7 +157,10 @@ class TauQSeries:
     def _make(cls, L: int, j, m, c, cutoff: Fraction) -> "TauQSeries":
         """Wrap arrays that already meet the invariants of the class."""
         out = cls.__new__(cls)
-        out._set(L, j, m, c, cutoff)
+        for arr in (j, m, c):
+            arr.setflags(write=False)
+        for name, value in (("L", L), ("j", j), ("m", m), ("c", c), ("cutoff", cutoff)):
+            object.__setattr__(out, name, value)
         return out
 
     @classmethod
@@ -214,19 +207,6 @@ class TauQSeries:
         flat = nonzero if keys is None else keys[nonzero]
         return cls._make(L, *np.divmod(flat, stride), total[nonzero], cutoff)
 
-    @property
-    def terms(self) -> Mapping[tuple[Fraction, int], complex]:
-        if self._terms is None:
-            L = self.L
-            view = MappingProxyType(
-                {
-                    (Fraction(j, L), m): c
-                    for j, m, c in zip(self.j.tolist(), self.m.tolist(), self.c.tolist())
-                }
-            )
-            object.__setattr__(self, "_terms", view)
-        return self._terms
-
     def on_grid(self, L: int, cutoff: Fraction) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(j, m, c) of the terms with alpha <= cutoff, j on the 1/L grid.
 
@@ -241,14 +221,8 @@ class TauQSeries:
 
     # -- basic algebra ------------------------------------------------------
 
-    def __iter__(self) -> Iterator[tuple[tuple[Fraction, int], complex]]:
-        return iter(self.terms.items())
-
     def __len__(self) -> int:
         return int(self.c.size)
-
-    def coeff(self, alpha, m: int = 0) -> complex:
-        return self.terms.get((Fraction(alpha), m), 0.0 + 0.0j)
 
     def __add__(self, other: "TauQSeries") -> "TauQSeries":
         cutoff = min(self.cutoff, other.cutoff)
@@ -614,8 +588,9 @@ def eichler_series(
 
 def qdump_rows(series: TauQSeries) -> list[str]:
     """CSV rows ``alpha_num,alpha_den,tau_power,coeff_re,coeff_im`` sorted by
-    (alpha, tau_power)."""
-    return [
-        f"{alpha.numerator},{alpha.denominator},{m},{c.real!r},{c.imag!r}"
-        for (alpha, m), c in series.terms.items()
-    ]
+    (alpha, tau_power), with alpha = j/L in lowest terms."""
+    rows = []
+    for j, m, c in zip(series.j.tolist(), series.m.tolist(), series.c.tolist()):
+        alpha = Fraction(j, series.L)
+        rows.append(f"{alpha.numerator},{alpha.denominator},{m},{c.real!r},{c.imag!r}")
+    return rows

@@ -73,11 +73,16 @@ class IdentityReport:
 
 
 def _series_residual(name: str, combo: TauQSeries) -> IdentityReport:
-    worst_key, worst = None, 0.0
-    for key, c in combo:
+    """Largest |coefficient| of ``combo`` and its (alpha, m); the first wins ties."""
+    worst_at, worst = None, 0.0
+    for i, c in enumerate(combo.c.tolist()):
         if abs(c) > worst:
-            worst, worst_key = abs(c), key
-    return IdentityReport(name, worst, worst_key)
+            worst, worst_at = abs(c), i
+    if worst_at is None:
+        return IdentityReport(name, worst)
+    # Python ints: a numpy int in worst_term would break json.dumps
+    alpha = Fraction(int(combo.j[worst_at]), combo.L)
+    return IdentityReport(name, worst, (alpha, int(combo.m[worst_at])))
 
 
 # Exact arithmetic for the G-family products, from the generator behind
@@ -283,7 +288,7 @@ def _product_form(
     for f_inf, f_zero in functions:
         inf = mul_series(inf, f_inf)
         zero = mul_series(zero, f_zero)
-    return AdmissibleForm(inf, zero, "product")
+    return AdmissibleForm(inf, zero)
 
 
 def _a3_piece(

@@ -195,11 +195,19 @@ def mellin_numeric(form: AdmissibleForm, s: complex) -> MellinResult:
     return MellinResult(value)
 
 
+def _regular_mellin(form: AdmissibleForm, s: float) -> complex:
+    """M(form, s) at a point s that must not be a pole of the continuation."""
+    res = mellin_numeric(form, s)
+    if res.is_constant_term_of_laurent:
+        raise ZeroDivisionError(f"unexpected pole at s = {s:g}")
+    return res.value
+
+
 def eisenstein_form(
     spec: EisensteinSpec, cutoff: Fraction = DEFAULT_CUTOFF
 ) -> AdmissibleForm:
     """Two-sided form f d(tau) for a single series of weight >= 2."""
-    return product_form((spec,), cutoff, label=str(spec))
+    return product_form((spec,), cutoff)
 
 
 def g_product_form(
@@ -207,11 +215,7 @@ def g_product_form(
     cutoff: Fraction = DEFAULT_CUTOFF,
 ) -> AdmissibleForm:
     """Form (prod_i G^(k_i)_{x_i}) d(tau); its sigma side is the H-product."""
-    return product_form(
-        [EisensteinSpec("G", k, x) for k, x in factors],
-        cutoff,
-        label="*".join(f"G{k}{x}" for k, x in factors),
-    )
+    return product_form([EisensteinSpec("G", k, x) for k, x in factors], cutoff)
 
 
 def swap_form(
@@ -248,10 +252,8 @@ def l_deriv_weight2_at_minus1(
         if p.has_zero_coord:
             raise ValueError("zero coordinates put a pole at s = -1")
     level = math.lcm(x.level(), y.level())
-    res = mellin_numeric(g_product_form([(1, x), (1, y)], cutoff), -1.0)
-    if res.is_constant_term_of_laurent:
-        raise ZeroDivisionError("unexpected pole at s = -1")
-    val = -(level / TWO_PI) * res.value
+    form = g_product_form([(1, x), (1, y)], cutoff)
+    val = -(level / TWO_PI) * _regular_mellin(form, -1.0)
     if abs(val.imag) > 1e-7 * max(1.0, abs(val.real)):
         raise ArithmeticError(f"nonreal L-derivative: {val}")
     return val.real
@@ -292,7 +294,4 @@ def im_i_rz(
         raise ValueError("weight ell must be >= 2")
     if u.has_zero_coord or v.has_zero_coord:
         raise ValueError("coordinates must be nonzero")
-    res = mellin_numeric(swap_form(u, v, ell - 1, -1, cutoff), 0.0)
-    if res.is_constant_term_of_laurent:
-        raise ZeroDivisionError("unexpected pole at s = 0")
-    return -0.5 * res.value.real
+    return -0.5 * _regular_mellin(swap_form(u, v, ell - 1, -1, cutoff), 0.0).real

@@ -51,7 +51,6 @@ _SIGN_CHANNEL = {"+": "plus", "-": "minus"}
 class MevResult:
     value: complex
     truncation_bound: float
-    word_echo: str
 
     def __post_init__(self):
         if self.truncation_bound < 0:
@@ -60,9 +59,7 @@ class MevResult:
 
 def lambda_word(letters: Sequence[AdmissibleForm], tau0_y: float = 1.0) -> MevResult:
     """Regularised int_0^oo of an explicit word of admissible forms."""
-    value, bound = word_integral_zero_to_infinity_with_bound(letters, tau0_y)
-    echo = " ".join(l.label or "?" for l in letters)
-    return MevResult(value, bound, echo)
+    return MevResult(*word_integral_zero_to_infinity_with_bound(letters, tau0_y))
 
 
 def lambda_single_closed(x: EllipticParam) -> complex:
@@ -177,7 +174,8 @@ def length_drop_rhs(
 
     scale = (TWO_PI_I) ** n
     if p == n:
-        a0 = e_series(kp - 1, params[n - 1], cutoff).coeff(0, 0)
+        base = e_series(kp - 1, params[n - 1], cutoff)
+        a0 = complex(base.c[0]) if len(base) and base.j[0] == base.m[0] == 0 else 0j
         if n == 1:
             first = a0
         else:

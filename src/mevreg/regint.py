@@ -10,12 +10,15 @@ the same form:
   describing f near 0).
 
 Both sides are plain series with nonnegative tau-powers; this holds for all
-the modular letters used here.  ``product_form`` is the one constructor of
-the two-sided forms of Eisenstein products (the E-letters here, the G/H
-forms of ``mellin``); the sigma data it applies come from
-``eisenstein.sigma_companion``, the only sigma table.  The two expansions
-of one form satisfy g(i) = -f(i), which the tests use as a consistency
-probe of that table.
+the modular letters used here.  A form is exactly its two series: it
+carries no name, and the one letter name ever printed (the ``word`` field
+of ``mevreg mev``) is spelled by ``cli``.
+
+``product_form`` is the one constructor of the two-sided forms of
+Eisenstein products (the E-letters here, the G/H forms of ``mellin``); the
+sigma data it applies come from ``eisenstein.sigma_companion``, the only
+sigma table.  The two expansions of one form satisfy g(i) = -f(i), which
+the tests use as a consistency probe of that table.
 
 Regularisation conventions (right-nested):
 
@@ -231,22 +234,17 @@ class AdmissibleForm:
 
     inf_side: TauQSeries
     zero_side: TauQSeries
-    label: str = ""
 
     def sigma_pullback(self) -> "AdmissibleForm":
         """The pulled-back form; sigma is an involution on forms."""
-        return AdmissibleForm(self.zero_side, self.inf_side, self.label + "^s")
+        return AdmissibleForm(self.zero_side, self.inf_side)
 
     def scale(self, c: complex) -> "AdmissibleForm":
-        return AdmissibleForm(
-            self.inf_side.scale(c), self.zero_side.scale(c), self.label
-        )
+        return AdmissibleForm(self.inf_side.scale(c), self.zero_side.scale(c))
 
     def __add__(self, other: "AdmissibleForm") -> "AdmissibleForm":
         return AdmissibleForm(
-            self.inf_side + other.inf_side,
-            self.zero_side + other.zero_side,
-            f"{self.label}+{other.label}",
+            self.inf_side + other.inf_side, self.zero_side + other.zero_side
         )
 
     def __sub__(self, other: "AdmissibleForm") -> "AdmissibleForm":
@@ -269,7 +267,6 @@ def product_form(
     specs: Sequence[EisensteinSpec],
     cutoff: Fraction = DEFAULT_CUTOFF,
     tau_power: int = 0,
-    label: str = "",
 ) -> AdmissibleForm:
     """Form (prod_i f_i)(tau) tau^{m'} d(tau) from the series f_i of ``specs``.
 
@@ -289,9 +286,7 @@ def product_form(
     zero = reduce(mul_series, [series_for(comp, cutoff) for comp, _ in companions])
     sign = (-1) ** tau_power * math.prod(s for _, s in companions)
     return AdmissibleForm(
-        inf.shift_tau(tau_power),
-        zero.shift_tau(total_k - tau_power - 2).scale(sign),
-        label,
+        inf.shift_tau(tau_power), zero.shift_tau(total_k - tau_power - 2).scale(sign)
     )
 
 
@@ -303,9 +298,7 @@ def modular_letter(
     cutoff: Fraction = DEFAULT_CUTOFF,
 ) -> AdmissibleForm:
     """Letter E^(k)_x(tau) tau^{m-1} d(tau), admissible for 1 <= m <= k-1."""
-    return product_form(
-        (EisensteinSpec("E", k, x),), cutoff, m - 1, f"E{k}{x}t^{m - 1}"
-    )
+    return product_form((EisensteinSpec("E", k, x),), cutoff, m - 1)
 
 
 @lru_cache(maxsize=2048)
@@ -324,9 +317,7 @@ def siegel_letter(
     # channel_series is conjugate-linear, so the 2 pi i goes in first
     form = product_form((EisensteinSpec("E", 2, x),), cutoff).scale(TWO_PI_I)
     return AdmissibleForm(
-        channel_series(form.inf_side, channel),
-        channel_series(form.zero_side, channel),
-        f"w{channel[0]}{x}",
+        channel_series(form.inf_side, channel), channel_series(form.zero_side, channel)
     )
 
 
@@ -335,11 +326,7 @@ def merged_product_letter(
     cutoff: Fraction = DEFAULT_CUTOFF,
 ) -> AdmissibleForm:
     """Letter (prod_i E^(k_i)_{x_i})(tau) d(tau) for merged-product words."""
-    return product_form(
-        [EisensteinSpec("E", k, x) for k, x in factors],
-        cutoff,
-        label="*".join(f"E{k}{x}" for k, x in factors),
-    )
+    return product_form([EisensteinSpec("E", k, x) for k, x in factors], cutoff)
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from fractions import Fraction
 from typing import Optional
 
 from mevreg.eisenstein import DEFAULT_CUTOFF, EllipticParam, log_siegel_series
-from mevreg.mellin import im_i_direct, mellin_numeric, swap_form
+from mevreg.mellin import _regular_mellin, im_i_direct, mellin_numeric, swap_form
 from mevreg.mev import lambda_word
 from mevreg.regint import siegel_letter, word_integral_zero_to_infinity
 from mevreg.specfun import ZETA3, ZETA_PRIME_MINUS2, bernoulli_poly
@@ -77,17 +77,10 @@ def component_label(a: EllipticParam, b: EllipticParam) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _MevBreakdown:
-    triples: dict
-    doubles: dict
-    singles: dict
-    truncation_bound: float
-
-
 def _goncharov_mev_parts(
     a: EllipticParam, b: EllipticParam, cutoff: Fraction
-) -> tuple[float, _MevBreakdown]:
+) -> tuple[float, dict, float]:
+    """(value, {word name: lambda value}, summed truncation bound)."""
     c = -(a + b)
     _require_interior(a, b, c)
     letters = {p: siegel_letter(p, "holomorphic", cutoff) for p in {a, b, c}}
@@ -97,40 +90,37 @@ def _goncharov_mev_parts(
 
     triple_keys = [(a, b, b), (c, b, b), (b, a, a), (c, a, a), (c, b, a), (c, a, b)]
     triple_signs = [1.0, -1.0, 1.0, -1.0, 1.0, 1.0]
-    triples = {}
+    breakdown = {}
     bound = 0.0
     total = 0.0 + 0.0j
     for key, sign in zip(triple_keys, triple_signs):
         res = word(*key)
-        triples["L(%s,%s,%s)" % key] = res.value
+        breakdown["L(%s,%s,%s)" % key] = res.value
         bound += res.truncation_bound
         total += sign * res.value
-    doubles = {}
     dsum = 0.0 + 0.0j
     for key in [(a, b), (b, c), (c, a)]:
         res = word(*key)
-        doubles["L(%s,%s)" % key] = res.value
+        breakdown["L(%s,%s)" % key] = res.value
         bound += res.truncation_bound
         dsum += res.value
-    singles = {}
     for p, name in ((a, "a"), (b, "b")):
         res = word(p)
-        singles[f"L({name})"] = res.value
+        breakdown[f"L({name})"] = res.value
         bound += res.truncation_bound
-    total -= (singles["L(b)"] - singles["L(a)"]) * dsum
+    total -= (breakdown["L(b)"] - breakdown["L(a)"]) * dsum
     if bound > _TRUNCATION_CEILING:
         raise ArithmeticError(
             f"truncation bound {bound:.3e} exceeds the 1e-11 reporting ceiling"
         )
-    return total.real, _MevBreakdown(triples, doubles, singles, bound)
+    return total.real, breakdown, bound
 
 
 def goncharov_mev(
     a: EllipticParam, b: EllipticParam, cutoff: Fraction = DEFAULT_CUTOFF
 ) -> float:
     """Triple-value pipeline for the weight-3 regulator integral."""
-    value, _ = _goncharov_mev_parts(a, b, cutoff)
-    return value
+    return _goncharov_mev_parts(a, b, cutoff)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -155,18 +145,20 @@ def _lvalue_mellin(
     a: EllipticParam, b: EllipticParam, cutoff: Fraction
 ) -> complex:
     """M(G1_{a1,b2} G1_{b1,-a2} + G1_{a1,-b2} G1_{b1,a2}, -1)."""
-    res = mellin_numeric(swap_form(a, b, 1, 1, cutoff), -1.0)
-    if res.is_constant_term_of_laurent:
-        raise ZeroDivisionError("unexpected pole at s = -1")
-    return res.value
+    return _regular_mellin(swap_form(a, b, 1, 1, cutoff), -1.0)
 
 
-def _lvalue_from_mellin(a: EllipticParam, b: EllipticParam, m_val: complex) -> float:
+def _lvalue_from_mellin(m_val: complex, z3: float) -> float:
     """-(3 pi / 2) Re M - zeta3_term; rejects a Mellin value that is not real."""
-    value = -1.5 * math.pi * m_val.real - zeta3_term(a, b)
+    value = -1.5 * math.pi * m_val.real - z3
     if abs(m_val.imag) > 1e-8 * max(1.0, abs(m_val.real)):
         raise ArithmeticError(f"nonreal Mellin value {m_val}")
     return value
+
+
+def _beilinson_from_mellin(m_val: complex, n_lv: int) -> float:
+    """-(9 pi / N^2) Re M."""
+    return -(9.0 * math.pi / n_lv**2) * m_val.real
 
 
 def _torsion_level(a: EllipticParam, b: EllipticParam, level: Optional[int]) -> int:
@@ -184,7 +176,7 @@ def goncharov_lvalue(
     """L-value pipeline for the same regulator integral."""
     c = -(a + b)
     _require_interior(a, b, c)
-    return _lvalue_from_mellin(a, b, _lvalue_mellin(a, b, cutoff))
+    return _lvalue_from_mellin(_lvalue_mellin(a, b, cutoff), zeta3_term(a, b))
 
 
 def beilinson(
@@ -197,8 +189,7 @@ def beilinson(
     c = -(a + b)
     _require_interior(a, b, c)
     n_lv = _torsion_level(a, b, level)
-    m_val = _lvalue_mellin(a, b, cutoff)
-    return -(9.0 * math.pi / n_lv**2) * m_val.real
+    return _beilinson_from_mellin(_lvalue_mellin(a, b, cutoff), n_lv)
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +266,8 @@ def dg_da2(
 
 def _siegel_log_inf_real(x: EllipticParam) -> float:
     """R_x: real part of the constant term of the Siegel-unit log."""
-    return log_siegel_series(x, Fraction(1)).coeff(0, 0).real
+    s = log_siegel_series(x, Fraction(1))
+    return float(s.c[0].real) if len(s) and s.j[0] == s.m[0] == 0 else 0.0
 
 
 def k2_regulator(
@@ -365,16 +357,12 @@ def regulator_report(
     c = -(a + b)
     _require_interior(a, b, c)
     n_lv = _torsion_level(a, b, level)
-    g1, parts = _goncharov_mev_parts(a, b, cutoff)
+    g1, breakdown, bound = _goncharov_mev_parts(a, b, cutoff)
     # one Mellin value feeds both the L-value pipeline and the companion regulator
     m_val = _lvalue_mellin(a, b, cutoff)
-    g2 = _lvalue_from_mellin(a, b, m_val)
-    bl = -(9.0 * math.pi / n_lv**2) * m_val.real
     z3 = zeta3_term(a, b)
-    breakdown = {}
-    breakdown.update(parts.triples)
-    breakdown.update(parts.doubles)
-    breakdown.update(parts.singles)
+    g2 = _lvalue_from_mellin(m_val, z3)
+    bl = _beilinson_from_mellin(m_val, n_lv)
     return RegulatorReport(
         a=a,
         b=b,
@@ -387,6 +375,6 @@ def regulator_report(
         zeta3_term=z3,
         residual_thm1=abs(g1 - g2),
         residual_thm2=abs(g1 - (n_lv**2 / 6.0) * bl + z3),
-        truncation_bound=parts.truncation_bound,
+        truncation_bound=bound,
         lambda_breakdown=breakdown,
     )

@@ -68,7 +68,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import os
 from fractions import Fraction
 from functools import lru_cache
 
@@ -84,7 +83,6 @@ __all__ = [
     "bloch_wigner",
     "gamma_fn",
     "hurwitz_zeta",
-    "mp_precision",
     "periodic_zeta",
     "roots_of_unity",
     "upper_incomplete_gamma",
@@ -384,26 +382,15 @@ def periodic_zeta(y: Fraction | int, s: complex) -> complex:
 # ---------------------------------------------------------------------------
 
 
-def mp_precision() -> int:
-    """mpmath working digits of the dilogarithm: ``MEVREG_PRECISION``, default 30.
-
-    Raises ValueError unless the variable is a positive integer.
-    """
-    text = os.environ.get("MEVREG_PRECISION", "30")
-    try:
-        digits = int(text)
-    except ValueError:
-        digits = 0
-    if digits < 1:
-        raise ValueError(f"MEVREG_PRECISION must be a positive integer, got {text!r}")
-    return digits
+# mpmath working digits of the dilogarithm
+_DILOG_DIGITS = 30
 
 
 @lru_cache(maxsize=65536)
-def _bloch_wigner_cached(z: complex, digits: int) -> float:
+def _bloch_wigner_cached(z: complex) -> float:
     import mpmath  # 30 ms of import time, which only the dilogarithm needs
 
-    with mpmath.workdps(digits):
+    with mpmath.workdps(_DILOG_DIGITS):
         li2 = mpmath.polylog(2, z)
         val = mpmath.im(li2) + mpmath.arg(1 - mpmath.mpc(z)) * mpmath.log(abs(z))
         return float(val)
@@ -421,7 +408,7 @@ def bloch_wigner(z) -> float:
         return 0.0
     if z.imag == 0.0:
         return 0.0
-    return _bloch_wigner_cached(z, mp_precision())
+    return _bloch_wigner_cached(z)
 
 
 # ---------------------------------------------------------------------------

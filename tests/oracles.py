@@ -28,6 +28,7 @@ from mevreg.eisenstein import (
     h_series,
     log_siegel_series,
 )
+from mevreg.identities import IdentityReport
 from mevreg.regint import evaluate_at
 from mevreg.specfun import bernoulli_poly
 
@@ -82,6 +83,37 @@ def series_from_terms(terms, cutoff) -> TauQSeries:
         [c for _, _, c in kept],
         cutoff,
     )
+
+
+def terms_of(series: TauQSeries) -> dict:
+    """The exact view {(Fraction(j, L), m): coefficient} of a series, in (j, m) order."""
+    L = series.L
+    return {
+        (Fraction(j, L), m): c
+        for j, m, c in zip(series.j.tolist(), series.m.tolist(), series.c.tolist())
+    }
+
+
+def coeff_of(series: TauQSeries, alpha, m: int = 0) -> complex:
+    """Coefficient of tau^m q^alpha; 0 when the series has no such term."""
+    return terms_of(series).get((Fraction(alpha), m), 0.0 + 0.0j)
+
+
+def qdump_rows_reference(series: TauQSeries) -> list[str]:
+    """``eisenstein.qdump_rows`` as it was written over the Fraction view."""
+    return [
+        f"{alpha.numerator},{alpha.denominator},{m},{c.real!r},{c.imag!r}"
+        for (alpha, m), c in terms_of(series).items()
+    ]
+
+
+def series_residual_reference(name: str, combo: TauQSeries) -> IdentityReport:
+    """``identities._series_residual`` as it was written over the Fraction view."""
+    worst_key, worst = None, 0.0
+    for key, c in terms_of(combo).items():
+        if abs(c) > worst:
+            worst, worst_key = abs(c), key
+    return IdentityReport(name, worst, worst_key)
 
 
 def child_env(**extra: str) -> dict:
@@ -183,9 +215,9 @@ def mellin_g_product_quadrature(pairs, s: float, eps=1e-12) -> complex:
     k_tot = sum(k for k, _ in pairs)
     c_g = c_h = 1.0 + 0.0j
     for srs in gs:
-        c_g *= srs.coeff(0, 0)
+        c_g *= coeff_of(srs, 0, 0)
     for srs in hs:
-        c_h *= srs.coeff(0, 0)
+        c_h *= coeff_of(srs, 0, 0)
 
     def f_inf_dec(yv):
         out = 1.0 + 0.0j

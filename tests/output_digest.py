@@ -50,6 +50,13 @@ LATE_REGULATOR_PAIRS = {
 }
 # a product of letters on the mixed 1/4 and 1/6 grids
 MIXED_GRID_WORD = "1/4,1/3;1/6,5/12"
+# the text and csv printers, which none of the commands above reach
+PRINTER_COMMANDS = (
+    ["mev", "--params", *MEV_WORDS, "--format", "text"],
+    ["regulator", "--a", "1/5,1/5", "--b", "2/5,3/5", "--level", "5", "--format", "text"],
+    ["verify", "--suite", "all", "--level", "5", "--format", "text"],
+    ["verify", "--suite", "bg", "--level", "5", "--format", "csv"],
+)
 
 
 def commands() -> list[list[str]]:
@@ -79,6 +86,7 @@ def commands() -> list[list[str]]:
     for level, (a, b) in LATE_REGULATOR_PAIRS.items():
         out.append(["regulator", "--a", a, "--b", b, "--level", str(level)])
     out.append(["mev", "--params", MIXED_GRID_WORD])
+    out.extend(list(argv) for argv in PRINTER_COMMANDS)
     return out
 
 

@@ -155,6 +155,10 @@ def test_console_entry_point_runs():
         ["mev", "--params", "abc"],
         ["mev", "--params", "0.25,1/4"],
         ["mev", "--params", "1/0,1/4"],
+        # a --format the subcommand does not write used to be ignored
+        ["qdump", "--family", "E", "--weight", "2", "--params", "1/5,2/5", "--format", "json"],
+        ["mev", "--params", "1/4,1/4", "--format", "csv"],
+        ["regulator", "--a", "1/5,1/5", "--b", "2/5,3/5", "--format", "csv"],
     ],
 )
 def test_bad_input_is_one_line_error(args, capsys):
@@ -192,18 +196,3 @@ def test_verify_suite_without_instances_fails(capsys):
     assert len(verdicts) == 1
     assert verdicts[0]["suite"] == "thm1"
     assert "no admissible instance at level 3" in verdicts[0]["error"]
-
-
-def test_bad_precision_is_one_line_error():
-    # the variable used to be parsed while mevreg.specfun was imported
-    proc = subprocess.run(
-        [sys.executable, "-m", "mevreg.cli", "mev", "--params", "1/4,1/4"],
-        capture_output=True,
-        text=True,
-        timeout=120,
-        env=child_env(MEVREG_PRECISION="abc"),
-    )
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    lines = proc.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: MEVREG_PRECISION")

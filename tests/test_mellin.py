@@ -15,6 +15,7 @@ from mevreg.specfun import ZETA3, ZETA_PRIME_MINUS2, bernoulli_poly
 
 from oracles import (
     CUT,
+    coeff_of,
     lvalue_factors,
     max_abs_coeff,
     mellin_g_product_quadrature,
@@ -281,7 +282,7 @@ def test_boundary_term_cancellations(u, v, ell):
     # the two constant-term contributions cancel against the Laurent parts
     # of the companion transforms: Im(T2) + B = 0 and Im(T3) + A = 0
     mstar_e_0 = ML.mellin_eisenstein_closed(EisensteinSpec("E", ell, v), 0.0).value
-    a0v = e_series(ell, v).coeff(0, 0)
+    a0v = coeff_of(e_series(ell, v), 0, 0)
     t2 = math.pi * bernoulli_poly(2, u.x2) * (mstar_e_0 - a0v)
     mp = ML.mellin_eisenstein_closed(
         EisensteinSpec("G", ell - 1, X(v.x1, u.x2)), -1.0

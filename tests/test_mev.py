@@ -20,7 +20,7 @@ LAMBDA_DOUBLE_15_25__35_15 = 0.14276282032116142 - 0.12598096120231564j
 
 def test_request_validation():
     with pytest.raises(ValueError):
-        M.MevResult(value=0j, truncation_bound=-1.0, word_echo="")
+        M.MevResult(value=0j, truncation_bound=-1.0)
 
 
 def test_single_closed_form_cases():

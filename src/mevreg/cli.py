@@ -103,7 +103,7 @@ def _as_text(payload) -> str:
             lines.append(f"{k}: {v}")
         return "\n".join(lines)
     if isinstance(payload, list):
-        return "\n".join(_as_text(item) for item in payload)
+        return "\n\n".join(_as_text(item) for item in payload)
     return str(payload)
 
 
@@ -344,9 +344,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER: Optional[argparse.ArgumentParser] = None
+
+
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call of ``main`` and kept."""
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = _build_parser()
+    return _PARSER
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         formats = _FORMATS[args.command]
         if args.format not in formats:

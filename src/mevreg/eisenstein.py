@@ -48,7 +48,7 @@ import numpy as np
 from mevreg.specfun import (
     bernoulli_poly,
     periodic_zeta,
-    roots_of_unity,
+    unit_root,
 )
 
 __all__ = [
@@ -135,6 +135,43 @@ def grid_limit(L: int, cutoff: Fraction) -> int:
     return jmax
 
 
+def key_span(L: int, jmax: int, stride: int, segments: int = 1) -> int:
+    """(jmax + 1) * stride, the keys of one series on the 1/L grid; raises
+    ValueError when ``segments`` such key ranges side by side overflow int64."""
+    span = (jmax + 1) * stride
+    if segments * span > _INT64_MAX:
+        raise ValueError(f"grid keys of the 1/{L} grid overflow int64")
+    return span
+
+
+def sum_slots(pieces, span: int, terms: int) -> tuple[np.ndarray, np.ndarray]:
+    """(keys, sums) of ``terms`` terms re + i*im at slot keys 0 <= slot < span,
+    given as one or more pieces (slot, re, im).
+
+    Terms with equal keys are summed in input order, piece after piece; the
+    keys come out ascending, with the zero sums dropped.  A narrow key range
+    is summed densely, a wide one (beyond 4 keys per term plus 4096) after a
+    sort.
+    """
+    pieces, keys = iter(pieces), None
+    if span > 4 * terms + 4096:
+        slot, re, im = (np.concatenate(part) for part in zip(*pieces))
+        keys, slot = np.unique(slot, return_inverse=True)
+        span = keys.size
+        pieces = iter([(slot, re, im)])
+    slot, re, im = next(pieces)
+    total_re = np.bincount(slot, weights=re, minlength=span)
+    total_im = np.bincount(slot, weights=im, minlength=span)
+    for slot, re, im in pieces:
+        # unbuffered and in input order: each sum goes on where it stopped
+        np.add.at(total_re, slot, re)
+        np.add.at(total_im, slot, im)
+    total = np.empty(span, dtype=np.complex128)
+    total.real, total.imag = total_re, total_im
+    nonzero = np.flatnonzero(total)
+    return (nonzero if keys is None else keys[nonzero]), total[nonzero]
+
+
 class TauQSeries:
     """Finite sum  c tau^m q^{j/L}  over an integer exponent grid.
 
@@ -190,22 +227,12 @@ class TauQSeries:
         """The accumulator behind every kernel: series of the terms re + i*im
         at slot keys j * stride + m, with 0 <= m < stride and 0 <= j <= jmax.
 
-        Terms with equal keys are summed in input order, zero sums dropped.
-        A narrow key range is summed densely, a wide one after a sort.
+        Terms with equal keys are summed in input order, zero sums dropped
+        (``sum_slots``).
         """
-        span = (jmax + 1) * stride
-        if span > _INT64_MAX:
-            raise ValueError(f"grid keys of the 1/{L} grid overflow int64")
-        keys = None
-        if span > 4 * slot.size + 4096:
-            keys, slot = np.unique(slot, return_inverse=True)
-            span = keys.size
-        total = np.empty(span, dtype=np.complex128)
-        total.real = np.bincount(slot, weights=re, minlength=span)
-        total.imag = np.bincount(slot, weights=im, minlength=span)
-        nonzero = np.flatnonzero(total)
-        flat = nonzero if keys is None else keys[nonzero]
-        return cls._make(L, *np.divmod(flat, stride), total[nonzero], cutoff)
+        span = key_span(L, jmax, stride)
+        flat, total = sum_slots([(slot, re, im)], span, slot.size)
+        return cls._make(L, *np.divmod(flat, stride), total, cutoff)
 
     def on_grid(self, L: int, cutoff: Fraction) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(j, m, c) of the terms with alpha <= cutoff, j on the 1/L grid.
@@ -331,6 +358,25 @@ def _cot_factor(x: Fraction) -> complex:
     return complex(0.0, 1.0 / math.tan(math.pi * float(x % 1)))
 
 
+class _UnitRoots(dict):
+    """e(r/q) by residue r, each computed by ``unit_root`` on its first use:
+    a series reaches few residues of a large denominator q."""
+
+    def __init__(self, q: int):
+        super().__init__()
+        self.q = q
+
+    def __missing__(self, r: int) -> complex:
+        value = self[r] = unit_root(r, self.q)
+        return value
+
+
+@lru_cache(maxsize=32)
+def _unit_roots(q: int) -> _UnitRoots:
+    """The roots of unity mod q that the generators share, like a table."""
+    return _UnitRoots(q)
+
+
 def _lattice(
     i0: int, di: int, e0: int, de: int, jmax: int
 ) -> Iterator[tuple[int, range, range]]:
@@ -401,7 +447,7 @@ def e_series(
     else:
         a0 = complex(bernoulli_poly(k, x.x1) / k)
     a, b, q = x.x1.numerator, x.x2.numerator, x.x2.denominator
-    roots = roots_of_unity(q)
+    roots = _unit_roots(q)
     j, c = [], []
     for i0, p, sign in ((a, b, -1.0 + 0.0j), (-a % L, -b, complex((-1) ** (k + 1)))):
         for i, ms, js in _lattice(i0, L, 1, 1, jmax):
@@ -517,7 +563,7 @@ def h_series(
         a0 = (-1) ** k * periodic_zeta(-x.x2, 1 - k)
     sign = float((-1) ** k)
     q = math.lcm(x.x1.denominator, x.x2.denominator)
-    roots, p1, p2 = roots_of_unity(q), int(x.x1 * q), int(x.x2 * q)
+    roots, p1, p2 = _unit_roots(q), int(x.x1 * q), int(x.x2 * q)
     j, c = [], []
     for m, ns, js in _lattice(1, 1, 1, 1, jmax):
         j += js
@@ -553,7 +599,7 @@ def log_siegel_series(
         )
     constants.append((1, complex(math.pi * bernoulli_poly(2, x.x1)) * 1j))
     a, b, q = x.x1.numerator, x.x2.numerator, x.x2.denominator
-    roots = roots_of_unity(q)
+    roots = _unit_roots(q)
     j, c = [], []
     for i0, p in ((a, b), (-a % L, -b)):
         for i, ms, js in _lattice(i0, L, 1, 1, jmax):

@@ -31,7 +31,7 @@ from mevreg.eisenstein import (
     e_series,
     grid_limit,
 )
-from mevreg.mev import lambda_signed, lambda_word
+from mevreg.mev import lambda_words, signed_letters
 from mevreg.regint import (
     AdmissibleForm,
     mul_series,
@@ -39,6 +39,7 @@ from mevreg.regint import (
     siegel_letter,
     word_integral_to_infinity,
     word_integral_zero_to_infinity,
+    word_integrals_zero_to_infinity,
 )
 from mevreg.specfun import bloch_wigner
 
@@ -291,22 +292,37 @@ def _product_form(
     return AdmissibleForm(inf, zero)
 
 
-def _a3_piece(
+def _a3_forms(
     x: EllipticParam, y: EllipticParam, z: EllipticParam, cutoff: Fraction
-) -> float:
-    """int_0^oo log|g_x| alpha(g_y ^ g_z) through composite product forms.
+) -> list[AdmissibleForm]:
+    """The two composite forms of int_0^oo log|g_x| alpha(g_y ^ g_z).
 
     With J_p = int_tau^oo dlog|g_p| one has log|g_p| = -J_p (interior
-    coordinates), so the integrand is -J_x J_y dlog|g_z| + J_x J_z dlog|g_y|.
+    coordinates), so the integrand is -J_x J_y dlog|g_z| + J_x J_z dlog|g_y|:
+    the integral is -(first) + (second).
     """
     jx = _tail_function(siegel_letter(x, "plus", cutoff))
     jy = _tail_function(siegel_letter(y, "plus", cutoff))
     jz = _tail_function(siegel_letter(z, "plus", cutoff))
     wy = siegel_letter(y, "plus", cutoff)
     wz = siegel_letter(z, "plus", cutoff)
-    first = word_integral_zero_to_infinity([_product_form([jx, jy], wz)])
-    second = word_integral_zero_to_infinity([_product_form([jx, jz], wy)])
-    return (-first + second).real
+    return [_product_form([jx, jy], wz), _product_form([jx, jz], wy)]
+
+
+def _a3_direct(
+    a: EllipticParam, b: EllipticParam, c: EllipticParam, cutoff: Fraction
+) -> float:
+    """The log-product term through its 12 composite forms, in one pass:
+    (1/3) sum over (y, z) in ((a,b), (b,c), (c,a)) of the piece at x = b
+    minus the piece at x = a."""
+    pieces = [(x, y, z) for y, z in ((a, b), (b, c), (c, a)) for x in (b, a)]
+    forms = [form for piece in pieces for form in _a3_forms(*piece, cutoff)]
+    values = [v for v, _ in word_integrals_zero_to_infinity([[form] for form in forms])]
+    piece = [(-first + second).real for first, second in zip(values[::2], values[1::2])]
+    total = 0.0
+    for n in range(0, len(piece), 2):
+        total += piece[n] - piece[n + 1]
+    return total / 3.0
 
 
 def check_shuffle_ledger(
@@ -315,18 +331,43 @@ def check_shuffle_ledger(
     """Residuals of the signed-value shuffle identities and the two collapse
     formulas for the middle and log-product terms of the triple expansion.
 
-    All coordinates of a, b and c = -(a+b) must be nonzero.
+    All coordinates of a, b and c = -(a+b) must be nonzero.  The identities
+    read their words through ``ls`` (signed) and ``lam`` (holomorphic): a
+    first pass with recording readers lists the words, one engine call
+    evaluates them all, and a second pass combines the values.
     """
     c = -(a + b)
     for p in (a, b, c):
         if p.has_zero_coord:
             raise ValueError("the ledger needs interior coordinates")
+    signed: dict = {}
+    plain: dict = {}
+    _shuffle_identities(
+        a,
+        b,
+        c,
+        lambda params, signs: signed.setdefault((tuple(params), signs), 0.0),
+        lambda params: plain.setdefault(tuple(params), 0j),
+        0.0,
+    )
+    words = [signed_letters(params, signs, cutoff) for params, signs in signed]
+    words += [[siegel_letter(p, "holomorphic", cutoff) for p in params] for params in plain]
+    results = iter(lambda_words(words))
+    signed = {key: next(results).value.real for key in signed}
+    plain = {key: next(results).value for key in plain}
+    return _shuffle_identities(
+        a,
+        b,
+        c,
+        lambda params, signs: signed[tuple(params), signs],
+        lambda params: plain[tuple(params)],
+        _a3_direct(a, b, c, cutoff),
+    )
 
-    def ls(params, signs):
-        return lambda_signed(params, signs, cutoff)
 
-    def lam(params):
-        return lambda_word([siegel_letter(p, "holomorphic", cutoff) for p in params])
+def _shuffle_identities(a, b, c, ls, lam, a3_direct: float) -> list[IdentityReport]:
+    """The ledger's reports from the word readers ``ls`` and ``lam`` and the
+    direct log-product term."""
 
     def lambda1(x, y, z):
         return (
@@ -409,7 +450,7 @@ def check_shuffle_ledger(
                 ls([x_arg, yy, zz], "--+") - ls([x_arg, zz, yy], "--+")
             )
     # ... against its shuffle-collapsed closed form
-    im_sum = (lam([a, b]).value + lam([b, c]).value + lam([c, a]).value).imag
+    im_sum = (lam([a, b]) + lam([b, c]) + lam([c, a])).imag
     a2_closed = (
         -lambda1(a, b, b)
         + lambda1(c, b, b)
@@ -427,12 +468,8 @@ def check_shuffle_ledger(
         )
     )
 
-    # log-product term: direct composite-form route ...
-    a3_direct = 0.0
-    for yy, zz in ((a, b), (b, c), (c, a)):
-        a3_direct += _a3_piece(b, yy, zz, cutoff) - _a3_piece(a, yy, zz, cutoff)
-    a3_direct /= 3.0
-    # ... against the six-term collapse
+    # log-product term: the direct composite-form route against the
+    # six-term collapse
     a3_closed = (
         ls([a, b, b], "+++")
         - ls([c, b, b], "+++")

@@ -26,6 +26,7 @@ from mevreg.regint import (
     modular_letter,
     siegel_letter,
     word_integral_zero_to_infinity_with_bound,
+    word_integrals_zero_to_infinity,
 )
 
 __all__ = [
@@ -36,7 +37,9 @@ __all__ = [
     "lambda_signed",
     "lambda_single_closed",
     "lambda_word",
+    "lambda_words",
     "length_drop_rhs",
+    "signed_letters",
 ]
 
 TWO_PI_I = 2j * math.pi
@@ -60,6 +63,13 @@ class MevResult:
 def lambda_word(letters: Sequence[AdmissibleForm], tau0_y: float = 1.0) -> MevResult:
     """Regularised int_0^oo of an explicit word of admissible forms."""
     return MevResult(*word_integral_zero_to_infinity_with_bound(letters, tau0_y))
+
+
+def lambda_words(
+    words: Sequence[Sequence[AdmissibleForm]], tau0_y: float = 1.0
+) -> list[MevResult]:
+    """``lambda_word`` of each word, the suffix integrals of all built in one pass."""
+    return [MevResult(*r) for r in word_integrals_zero_to_infinity(words, tau0_y)]
 
 
 def lambda_single_closed(x: EllipticParam) -> complex:
@@ -100,12 +110,10 @@ def lambda_mev(
     return lambda_word(letters)
 
 
-def lambda_signed(
-    params: Sequence[EllipticParam],
-    signs: Sequence[str],
-    cutoff: Fraction = DEFAULT_CUTOFF,
-) -> float:
-    """Signed value: the word integral over the dlog|g| / darg g channels."""
+def signed_letters(
+    params: Sequence[EllipticParam], signs: Sequence[str], cutoff: Fraction = DEFAULT_CUTOFF
+) -> list[AdmissibleForm]:
+    """The dlog|g| ('+') and darg g ('-') letters of a signed word."""
     params = tuple(params)
     signs = tuple(signs)
     if len(params) != len(signs):
@@ -119,7 +127,16 @@ def lambda_signed(
         if s not in _SIGN_CHANNEL:
             raise ValueError(f"signs must be '+' or '-', got {s!r}")
         letters.append(siegel_letter(x, _SIGN_CHANNEL[s], cutoff))
-    value = lambda_word(letters).value
+    return letters
+
+
+def lambda_signed(
+    params: Sequence[EllipticParam],
+    signs: Sequence[str],
+    cutoff: Fraction = DEFAULT_CUTOFF,
+) -> float:
+    """Signed value: the word integral over the dlog|g| / darg g channels."""
+    value = lambda_word(signed_letters(params, signs, cutoff)).value
     # The channel letters are real 1-forms on the axis, so the regularised
     # integral is real; the imaginary residue is numerical noise.
     return value.real

@@ -34,9 +34,18 @@ Regularisation conventions (right-nested):
   int_0^tau w1..wk = (-1)^k int_{-1/tau}^oo wk^sigma ... w1^sigma.
   Independence of the base point is a test, not an assumption.
 
-Both word routines read the suffix integrals of a word, and their values
-at a point, from bounded LRU caches keyed by the suffix's series (hashed by
-identity) and the cutoff of the whole word: shared suffixes are built once.
+The word routines evaluate a set of words in one pass
+(``word_integrals_zero_to_infinity``; one word is a set of one).  The suffix
+integrals of all the words, with their values at a point, come from one
+bounded LRU cache keyed by the suffix's series (hashed by identity) and the
+cutoff of the whole word, so shared suffixes are built once.  The missing
+ones are built one suffix length at a time in stacked passes: the series
+of a pass lie back to back in one set of arrays (a ``_Stack``), and one
+Cauchy product, one antiderivative and one evaluation serve them all.
+``mul_series``, ``antiderivative_to_infinity`` and ``evaluate_with_bound``
+are the one-series case of the same kernels, and every slot adds its terms
+in the same order either way, so a value does not depend on the words it
+was computed with.
 
 Real/imaginary channels: with conj_axis(f)(iy) = conj(f(iy)), the real and
 imaginary parts of a form f d(tau) restricted to the axis are again forms
@@ -50,19 +59,23 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from itertools import accumulate
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from mevreg.eisenstein import (
+    _INT64_MAX,
     DEFAULT_CUTOFF,
     EisensteinSpec,
     EllipticParam,
     TauQSeries,
     grid_limit,
+    key_span,
     series_for,
     sigma_companion,
+    sum_slots,
 )
 
 __all__ = [
@@ -82,6 +95,8 @@ __all__ = [
     "siegel_letter",
     "word_integral_to_infinity",
     "word_integral_zero_to_infinity",
+    "word_integral_zero_to_infinity_with_bound",
+    "word_integrals_zero_to_infinity",
 ]
 
 TWO_PI_I = 2j * math.pi
@@ -108,6 +123,164 @@ def one_series(cutoff: Fraction = DEFAULT_CUTOFF) -> TauQSeries:
     return TauQSeries.from_grid(1, [0], [0], [1.0 + 0.0j], cutoff)
 
 
+# A pass forms at most this many pairs (or terms), unless one series needs
+# more: its temporaries then stay near 100 KB.
+_CHUNK = 8192
+# Room for the tau-power stride when segments share one key range.
+_STRIDE_ROOM = 2**20
+
+
+class _Stack(NamedTuple):
+    """Series on the 1/L grid with one cutoff, stored back to back: segment s
+    holds the terms bounds[s]:bounds[s + 1] of j, m and c, sorted by (j, m).
+
+    The kernels below work on stacks, so that one numpy pass serves many
+    series; the public kernels are their one-segment case.  A segment's
+    terms never mix with another's: the slot keys of segment s are offset by
+    s times the key span of one series.
+    """
+
+    L: int
+    cutoff: Fraction
+    bounds: np.ndarray
+    j: np.ndarray
+    m: np.ndarray
+    c: np.ndarray
+
+    @property
+    def size(self) -> int:
+        return self.bounds.size - 1
+
+    def segment_of_terms(self) -> np.ndarray:
+        return np.repeat(np.arange(self.size), self.bounds[1:] - self.bounds[:-1])
+
+    def select(self, keep: np.ndarray) -> "_Stack":
+        """The terms where ``keep`` holds."""
+        if keep.all():
+            return self
+        bounds = np.searchsorted(self.segment_of_terms()[keep], np.arange(self.size + 1))
+        return self._replace(bounds=bounds, j=self.j[keep], m=self.m[keep], c=self.c[keep])
+
+    def series(self) -> list[TauQSeries]:
+        b = self.bounds.tolist()
+        return [
+            TauQSeries._make(self.L, self.j[lo:hi], self.m[lo:hi], self.c[lo:hi], self.cutoff)
+            for lo, hi in zip(b, b[1:])
+        ]
+
+
+def _stack_of(series: Sequence[TauQSeries], L: int, cutoff: Fraction) -> _Stack:
+    """The terms of ``series`` back to back, as they are stored."""
+    if len(series) == 1:
+        (f,) = series
+        return _Stack(L, cutoff, np.array([0, f.c.size]), f.j, f.m, f.c)
+    return _Stack(
+        L,
+        cutoff,
+        np.array([0, *accumulate(f.c.size for f in series)]),
+        np.concatenate([f.j for f in series]),
+        np.concatenate([f.m for f in series]),
+        np.concatenate([f.c for f in series]),
+    )
+
+
+def _on_grid(series: Sequence[TauQSeries], L: int, cutoff: Fraction) -> _Stack:
+    """The terms with alpha <= cutoff of each series, moved to the 1/L grid
+    (``TauQSeries.on_grid``, stacked); L is a multiple of every grid."""
+    st = _stack_of(series, L, cutoff)
+    sizes = st.bounds[1:] - st.bounds[:-1]
+    keep = st.j <= np.repeat([grid_limit(s.L, cutoff) for s in series], sizes)
+    j = st.j * np.repeat([L // s.L for s in series], sizes)
+    return st._replace(j=j).select(keep)
+
+
+def _decode(L: int, cutoff: Fraction, size: int, flat, c, stride: int, span: int) -> _Stack:
+    """Stack of ``size`` segments from the terms c at the keys
+    s * span + j * stride + m, ascending."""
+    seg, local = np.divmod(flat, span)
+    j, m = np.divmod(local, stride)
+    return _Stack(L, cutoff, np.searchsorted(seg, np.arange(size + 1)), j, m, c)
+
+
+def _chunks(sizes: list[int]) -> list[tuple[int, int]]:
+    """Runs [s0, s1) of consecutive items with at most _CHUNK terms in all;
+    a larger item makes a run of its own."""
+    runs, s0, total = [], 0, 0
+    for s, n in enumerate(sizes):
+        if total and total + n > _CHUNK:
+            runs.append((s0, s))
+            s0, total = s, 0
+        total += n
+    return runs + [(s0, len(sizes))] if sizes else runs
+
+
+def _groups(items: list[tuple[int, Fraction]]):
+    """Yield (L, cutoff, positions): the positions of ``items`` (grid, cutoff)
+    that share both, in runs short enough for their keys to fit int64."""
+    groups: dict[tuple[int, Fraction], list[int]] = {}
+    for n, key in enumerate(items):
+        groups.setdefault(key, []).append(n)
+    for (L, cutoff), members in groups.items():
+        cap = max(1, _INT64_MAX // (_STRIDE_ROOM * (grid_limit(L, cutoff) + 1)))
+        for lo in range(0, len(members), cap):
+            yield L, cutoff, members[lo : lo + cap]
+
+
+def _products(pairs: Sequence[tuple[TauQSeries, TauQSeries]], L: int, cutoff: Fraction):
+    """Yield (s0, s1, stack of a * b over pairs[s0:s1]) for the pairs (a, b),
+    all on the 1/L grid at the given cutoff (``mul_series``, stacked).
+
+    A run of segments spans at most _CHUNK slots, or one segment, and its
+    pairs are formed in pieces of at most _CHUNK pairs, or one a term.
+    Within a segment the pairs are formed a-major, as in one product, and
+    the pieces add to the slot sums in turn, so each slot adds its terms in
+    the same order.
+    """
+    jmax = grid_limit(L, cutoff)
+    A = _on_grid([a for a, _ in pairs], L, cutoff)
+    B = _on_grid([b for _, b in pairs], L, cutoff)
+    stride = int(A.m.max(initial=0)) + int(B.m.max(initial=0)) + 1
+    span = key_span(L, jmax, stride, len(pairs))
+    sa, sb = A.segment_of_terms(), B.segment_of_terms()
+    # b is sorted by j in each segment, so the pairs of an a term are a
+    # prefix of its segment's b terms
+    counts = np.searchsorted(sb * span + B.j, sa * span + (jmax - A.j), side="right")
+    counts -= B.bounds[sa]
+    ends = np.concatenate([[0], np.cumsum(counts)])
+    # the p-th pair (counted over all a terms) of a term i is (i, p + shift[i])
+    shift = B.bounds[sa] - ends[:-1]
+    akey = sa * span + A.j * stride + A.m
+    bkey = B.j * stride + B.m
+
+    def pieces(a0, a1, offset):
+        cuts = [a0]
+        while cuts[-1] < a1 or len(cuts) == 1:
+            i = cuts[-1]
+            k = int(np.searchsorted(ends, ends[i] + _CHUNK, side="right")) - 1
+            cuts.append(min(a1, max(i + 1, k)))
+        for i, k in zip(cuts, cuts[1:]):
+            n = counts[i:k]
+            ib = np.arange(ends[i], ends[k]) + np.repeat(shift[i:k], n)
+            slot = np.repeat(akey[i:k] - offset, n)
+            slot += bkey[ib]
+            ar, ai = np.repeat(A.c.real[i:k], n), np.repeat(A.c.imag[i:k], n)
+            br, bi = B.c.real[ib], B.c.imag[ib]
+            # the parts of the products, rounded part by part
+            re = ar * br
+            re -= ai * bi
+            im = ar * bi
+            im += ai * br
+            yield slot, re, im
+
+    per_run = max(1, _CHUNK // span)
+    for s0 in range(0, len(pairs), per_run):
+        s1 = min(s0 + per_run, len(pairs))
+        a0, a1 = A.bounds[s0], A.bounds[s1]
+        size = s1 - s0
+        flat, c = sum_slots(pieces(a0, a1, s0 * span), size * span, ends[a1] - ends[a0])
+        yield s0, s1, _decode(L, cutoff, size, flat, c, stride, span)
+
+
 def mul_series(a: TauQSeries, b: TauQSeries) -> TauQSeries:
     """Cauchy product on the (alpha, m) bigrading; cutoff = min of the two.
 
@@ -117,25 +290,8 @@ def mul_series(a: TauQSeries, b: TauQSeries) -> TauQSeries:
     of its two terms' keys, so each factor is gathered once for keys and once
     for coefficients; equal keys are summed a-major.
     """
-    cutoff = min(a.cutoff, b.cutoff)
-    L = math.lcm(a.L, b.L)
-    jmax = grid_limit(L, cutoff)
-    ja, ma, ca = a.on_grid(L, cutoff)
-    jb, mb, cb = b.on_grid(L, cutoff)
-    counts = np.searchsorted(jb, jmax - ja, side="right")
-    # pair p = (a term, b term ib[p]); the a terms repeat in order
-    ib = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-    stride = int(ma.max(initial=0)) + int(mb.max(initial=0)) + 1
-    slot = np.repeat(ja * stride + ma, counts)
-    slot += (jb * stride + mb)[ib]
-    ar, ai = np.repeat(ca.real, counts), np.repeat(ca.imag, counts)
-    gb = cb[ib]
-    # the parts of the products, rounded part by part
-    re = ar * gb.real
-    re -= ai * gb.imag
-    im = ar * gb.imag
-    im += ai * gb.real
-    return TauQSeries._from_slots(L, slot, re, im, stride, jmax, cutoff)
+    ((_, _, product),) = _products([(a, b)], math.lcm(a.L, b.L), min(a.cutoff, b.cutoff))
+    return product.series()[0]
 
 
 def conj_axis(a: TauQSeries) -> TauQSeries:
@@ -158,22 +314,19 @@ def channel_series(f: TauQSeries, channel: str) -> TauQSeries:
     raise ValueError(f"unknown channel {channel!r}")
 
 
-def antiderivative_to_infinity(omega: TauQSeries) -> TauQSeries:
-    """Primitive F of omega d(tau) with regularised value 0 at infinity.
-
-    alpha > 0: tau^m q^alpha integrates by parts into
-    q^alpha * sum_{j<=m} (-1)^j m!/(m-j)! tau^{m-j} / (2 pi i alpha)^{j+1};
-    alpha = 0: plain monomial integration with zero constant.
-    """
-    j, m, c = omega.j, omega.m, omega.c
-    n0 = int(np.searchsorted(j, 0, side="right"))  # the alpha = 0 terms lead
-    jq, mq = j[n0:], m[n0:]
-    base = 1.0 / (TWO_PI_I * (jq / omega.L))
+def _antiderivatives(st: _Stack) -> _Stack:
+    """The primitive of every segment (``antiderivative_to_infinity``)."""
+    j, m, c = st.j, st.m, st.c
+    seg = st.segment_of_terms()
+    flat = j == 0  # the alpha = 0 terms lead each segment
+    rows = ~flat
+    jq, mq = j[rows], m[rows]
+    base = 1.0 / (TWO_PI_I * (jq / st.L))
     # row r, column t: the parts of the coefficient of tau^{m_r - t} q^{alpha_r},
     # t = 0..m_r, each product rounded part by part
     width = int(mq.max(initial=0)) + 1
     re, im = np.empty((jq.size, width)), np.empty((jq.size, width))
-    xr, xi, w = c.real[n0:], c.imag[n0:], base
+    xr, xi, w = c.real[rows], c.imag[rows], base
     for t in range(width):
         if t:
             xr, xi, w = re[:, t - 1], im[:, t - 1], -(mq - (t - 1)) * base
@@ -184,25 +337,68 @@ def antiderivative_to_infinity(omega: TauQSeries) -> TauQSeries:
     # tau^{m_r - t} q^{alpha_r} sits at slot (j_r * stride + m_r) - t; the
     # alpha = 0 terms move up one tau power
     stride = int(m.max(initial=0)) + 2
-    lead = m[:n0] + 1
-    return TauQSeries._from_slots(
-        omega.L,
-        np.concatenate([lead, ((jq * stride + mq)[:, None] - steps)[valid]]),
-        np.concatenate([c.real[:n0] / lead, re[valid]]),
-        np.concatenate([c.imag[:n0] / lead, im[valid]]),
-        stride,
-        grid_limit(omega.L, omega.cutoff),
-        omega.cutoff,
+    span = key_span(st.L, grid_limit(st.L, st.cutoff), stride, st.size)
+    lead = m[flat] + 1
+    slot = np.concatenate(
+        [seg[flat] * span + lead, ((seg[rows] * span + jq * stride + mq)[:, None] - steps)[valid]]
     )
+    re = np.concatenate([c.real[flat] / lead, re[valid]])
+    im = np.concatenate([c.imag[flat] / lead, im[valid]])
+    flat, total = sum_slots([(slot, re, im)], st.size * span, slot.size)
+    return _decode(st.L, st.cutoff, st.size, flat, total, stride, span)
+
+
+def antiderivative_to_infinity(omega: TauQSeries) -> TauQSeries:
+    """Primitive F of omega d(tau) with regularised value 0 at infinity.
+
+    alpha > 0: tau^m q^alpha integrates by parts into
+    q^alpha * sum_{j<=m} (-1)^j m!/(m-j)! tau^{m-j} / (2 pi i alpha)^{j+1};
+    alpha = 0: plain monomial integration with zero constant.
+    """
+    return _antiderivatives(_stack_of([omega], omega.L, omega.cutoff)).series()[0]
+
+
+def _evaluate(st: _Stack, y: float) -> list[tuple[complex, float]]:
+    """``evaluate_with_bound`` of every segment at iy, in one pass: the
+    weights of all terms at once, then one pairwise ``np.sum`` per segment."""
+    if y < MIN_EVAL_Y - 1e-12:
+        raise ValueError(f"evaluation point y = {y} below the safe threshold 0.5")
+    alpha = st.j / st.L
+    weights = _I_POWERS[st.m % 4] * y ** st.m * np.exp(-2.0 * math.pi * alpha * y)
+    terms = st.c * weights
+    # the boundary shell of a segment: its terms with alpha within 1 of the
+    # cutoff, a tail of the segment since j is sorted
+    cut = float(st.cutoff)
+    shell = alpha > cut - 1.0
+    seg = st.segment_of_terms()[shell]
+    count = np.bincount(seg, minlength=st.size).tolist()
+    biggest, mmax = np.zeros(st.size), np.zeros(st.size, dtype=np.int64)
+    np.maximum.at(biggest, seg, np.abs(st.c[shell]))
+    np.maximum.at(mmax, seg, st.m[shell])
+    tail = math.exp(-2.0 * math.pi * cut * y)
+    b = st.bounds.tolist()
+    out = []
+    for lo, hi, n, big, mm in zip(b, b[1:], count, biggest.tolist(), mmax.tolist()):
+        bound = (n + 1) * (big if n else 1.0) * tail
+        bound *= max(1.0, y) ** mm
+        out.append((complex(np.sum(terms[lo:hi])), bound))
+    return out
+
+
+def _evaluate_all(series: Sequence[TauQSeries], y: float) -> list[tuple[complex, float]]:
+    """``evaluate_with_bound`` of each series at iy, stacked by grid and cutoff."""
+    out: list = [None] * len(series)
+    for L, cutoff, members in _groups([(f.L, f.cutoff) for f in series]):
+        for s0, s1 in _chunks([len(series[n]) for n in members]):
+            run = members[s0:s1]
+            for n, result in zip(run, _evaluate(_stack_of([series[n] for n in run], L, cutoff), y)):
+                out[n] = result
+    return out
 
 
 def evaluate_at(f: TauQSeries, y: float) -> complex:
     """Value sum c_{alpha,m} (iy)^m e^{-2 pi alpha y}; requires y >= 1/2."""
-    if y < MIN_EVAL_Y - 1e-12:
-        raise ValueError(f"evaluation point y = {y} below the safe threshold 0.5")
-    alpha = f.j / f.L
-    weights = _I_POWERS[f.m % 4] * y ** f.m * np.exp(-2.0 * math.pi * alpha * y)
-    return complex(np.sum(f.c * weights))
+    return evaluate_with_bound(f, y)[0]
 
 
 def evaluate_with_bound(f: TauQSeries, y: float) -> tuple[complex, float]:
@@ -212,15 +408,7 @@ def evaluate_with_bound(f: TauQSeries, y: float) -> tuple[complex, float]:
     the largest such coefficient magnitude times e^{-2 pi cutoff y} times
     the largest tau-power weight.
     """
-    value = evaluate_at(f, y)
-    cut = float(f.cutoff)
-    start = int(np.searchsorted(f.j / f.L, cut - 1.0, side="right"))  # j is sorted
-    shell = f.c[start:]
-    biggest = float(np.abs(shell).max()) if shell.size else 1.0
-    mmax = int(f.m[start:].max(initial=0))
-    bound = (shell.size + 1) * biggest * math.exp(-2.0 * math.pi * cut * y)
-    bound *= max(1.0, y) ** mmax
-    return value, bound
+    return _evaluate(_stack_of([f], f.L, f.cutoff), y)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +522,94 @@ def merged_product_letter(
 # ---------------------------------------------------------------------------
 
 
+class _Suffix:
+    """A cached suffix integral: its series and its (value, bound) at each
+    evaluation point iy, both filled in by ``_suffix_entries``."""
+
+    __slots__ = ("series", "values")
+
+    def __init__(self) -> None:
+        self.series: TauQSeries | None = None
+        self.values: dict[float, tuple[complex, float]] = {}
+
+
+@lru_cache(maxsize=1024)
+def _suffix_entry(series: tuple[TauQSeries, ...], num: int, den: int) -> _Suffix:
+    """The one cache of suffix integrals: the entry of the suffix with
+    coefficient series ``series`` in a word of cutoff num/den.
+
+    A new entry is empty until ``_suffix_entries`` builds it.  The series are
+    keyed by identity; the cutoff is keyed as two integers, because a
+    Fraction recomputes its hash on every lookup.
+    """
+    return _Suffix()
+
+
+def _cut(head: TauQSeries, cutoff: Fraction) -> TauQSeries:
+    """A last letter, cut to the cutoff of its word before it is integrated."""
+    if head.cutoff == cutoff:
+        return head
+    return TauQSeries.from_grid(head.L, *head.on_grid(head.L, cutoff), cutoff)
+
+
+def _suffix_entries(keys) -> dict:
+    """The built cache entries of the suffixes ``keys`` (series, num, den).
+
+    I_n = -antiderivative(f_n), I_k = -antiderivative(f_k I_{k+1}): the
+    entries missing from the cache, and the inner suffixes they need, are
+    built one suffix length at a time, shortest first.  Each length makes
+    one stacked pass per grid, cutoff and chunk: the Cauchy products of the
+    head letters with their inner suffixes, their primitives, and the -1.
+    """
+    entries: dict = {}
+    missing: dict[int, list] = {}
+    todo = list(keys)
+    while todo:
+        key = todo.pop()
+        if key in entries:
+            continue
+        entry = entries[key] = _suffix_entry(*key)
+        if entry.series is None:
+            missing.setdefault(len(key[0]), []).append(key)
+            if len(key[0]) > 1:
+                todo.append((key[0][1:], *key[1:]))
+    for length in sorted(missing):
+        batch = missing[length]
+        if length == 1:
+            integrands = [_cut(key[0][0], Fraction(*key[1:])) for key in batch]
+            groups = _groups([(f.L, f.cutoff) for f in integrands])
+            stacks = [
+                (members[s0:s1], _stack_of([integrands[n] for n in members[s0:s1]], L, cutoff))
+                for L, cutoff, members in groups
+                for s0, s1 in _chunks([len(integrands[n]) for n in members])
+            ]
+        else:
+            pairs = [(key[0][0], entries[key[0][1:], *key[1:]].series) for key in batch]
+            groups = _groups([(math.lcm(a.L, b.L), min(a.cutoff, b.cutoff)) for a, b in pairs])
+            stacks = [
+                (members[s0:s1], product)
+                for L, cutoff, members in groups
+                for s0, s1, product in _products([pairs[n] for n in members], L, cutoff)
+            ]
+        for members, st in stacks:
+            st = _antiderivatives(st)
+            # scale(-1.0) of each segment
+            c = -1.0 * st.c
+            for n, series in zip(members, st._replace(c=c).select(c != 0).series()):
+                entries[batch[n]].series = series
+    return entries
+
+
+def _suffix_integral(series: tuple[TauQSeries, ...], num: int, den: int) -> TauQSeries:
+    """Series of int_tau^oo over the suffix with coefficient series ``series``.
+
+    The cutoff num/den is that of the whole word; a last letter may carry a
+    larger one and is cut to it before it is integrated.
+    """
+    key = (series, num, den)
+    return _suffix_entries([key])[key].series
+
+
 def word_integral_to_infinity(word) -> TauQSeries:
     """Series of int_tau^oo w1...wn (the right-nested regularised integral).
 
@@ -348,29 +624,57 @@ def word_integral_to_infinity(word) -> TauQSeries:
     )
 
 
-@lru_cache(maxsize=1024)
-def _suffix_integral(series: tuple[TauQSeries, ...], num: int, den: int) -> TauQSeries:
-    """Series of int_tau^oo over the suffix with coefficient series ``series``.
+def word_integrals_zero_to_infinity(words, tau0_y: float = 1.0) -> list[tuple[complex, float]]:
+    """Value and truncation bound of int_0^oo of each word, in one pass.
 
-    The cutoff num/den is that of the whole word; a last letter may carry a
-    larger one and is cut to it before it is integrated.  The cache keys on
-    the two integers: a Fraction recomputes its hash on every lookup.
+    The suffix integrals of all the words are read from the cache or built
+    together (``_suffix_entries``) and evaluated together, the inf side at
+    i*tau0_y and the zero side at i/tau0_y.  Each word then combines its
+    factors z_k, w_k as ``word_integral_zero_to_infinity`` describes, with
+    the bound sum_k |z_k| b(w_k) + |w_k| b(z_k) over their shell bounds b.
     """
-    cutoff = Fraction(num, den)
-    head = series[0]
-    if len(series) > 1:
-        integrand = mul_series(head, _suffix_integral(series[1:], num, den))
-    elif head.cutoff == cutoff:
-        integrand = head
-    else:
-        integrand = TauQSeries.from_grid(head.L, *head.on_grid(head.L, cutoff), cutoff)
-    return antiderivative_to_infinity(integrand).scale(-1.0)
-
-
-@lru_cache(maxsize=1024)
-def _suffix_value(series: tuple, num: int, den: int, y: float) -> tuple[complex, float]:
-    """evaluate_with_bound of the suffix integral at iy, cutoff num/den."""
-    return evaluate_with_bound(_suffix_integral(series, num, den), y)
+    y_zero = 1.0 / tau0_y
+    plans = []
+    for word in words:
+        letters = _letters_of(word)
+        n = len(letters)
+        cutoff = min(l.inf_side.cutoff for l in letters)
+        num, den = cutoff.numerator, cutoff.denominator
+        inf_side = tuple(l.inf_side for l in letters)
+        zero_side = tuple(l.zero_side for l in reversed(letters))
+        plans.append(
+            (
+                [(inf_side[k:], num, den) for k in range(n)],
+                [(zero_side[n - k :], num, den) for k in range(1, n + 1)],
+            )
+        )
+    entries = _suffix_entries([key for plan in plans for keys in plan for key in keys])
+    todo: dict[float, dict] = {}
+    for plan in plans:
+        for y, keys in zip((tau0_y, y_zero), plan):
+            for key in keys:
+                entry = entries[key]
+                if y not in entry.values:
+                    todo.setdefault(y, {})[id(entry)] = entry
+    for y, pending in todo.items():
+        results = _evaluate_all([entry.series for entry in pending.values()], y)
+        for entry, result in zip(pending.values(), results):
+            entry.values[y] = result
+    out = []
+    for inf_keys, zero_keys in plans:
+        n = len(inf_keys)
+        total, bound = 0.0 + 0.0j, 0.0
+        for k in range(n + 1):
+            z, bz, w, bw = 1.0 + 0.0j, 0.0, 1.0 + 0.0j, 0.0
+            if k:
+                z, bz = entries[zero_keys[k - 1]].values[y_zero]
+                z *= (-1.0) ** k
+            if k < n:
+                w, bw = entries[inf_keys[k]].values[tau0_y]
+            total += z * w
+            bound += abs(z) * bw + abs(w) * bz
+        out.append((total, bound))
+    return out
 
 
 def word_integral_zero_to_infinity(word, tau0_y: float = 1.0) -> complex:
@@ -386,24 +690,9 @@ def word_integral_zero_to_infinity(word, tau0_y: float = 1.0) -> complex:
 def word_integral_zero_to_infinity_with_bound(
     word, tau0_y: float = 1.0
 ) -> tuple[complex, float]:
-    """Value of int_0^oo plus a truncation bound from the boundary shells."""
-    letters = _letters_of(word)
-    n = len(letters)
-    cutoff = min(l.inf_side.cutoff for l in letters)
-    num, den = cutoff.numerator, cutoff.denominator
-    inf_side = tuple(l.inf_side for l in letters)
-    zero_side = tuple(l.zero_side for l in reversed(letters))
-    total, bound = 0.0 + 0.0j, 0.0
-    for k in range(n + 1):
-        z, bz, w, bw = 1.0 + 0.0j, 0.0, 1.0 + 0.0j, 0.0
-        if k:
-            z, bz = _suffix_value(zero_side[n - k :], num, den, 1.0 / tau0_y)
-            z *= (-1.0) ** k
-        if k < n:
-            w, bw = _suffix_value(inf_side[k:], num, den, tau0_y)
-        total += z * w
-        bound += abs(z) * bw + abs(w) * bz
-    return total, bound
+    """Value of int_0^oo plus a truncation bound from the boundary shells
+    (``word_integrals_zero_to_infinity`` of one word)."""
+    return word_integrals_zero_to_infinity([word], tau0_y)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -36,8 +36,8 @@ from typing import Optional
 
 from mevreg.eisenstein import DEFAULT_CUTOFF, EllipticParam, log_siegel_series
 from mevreg.mellin import _regular_mellin, im_i_direct, mellin_numeric, swap_form
-from mevreg.mev import lambda_word
-from mevreg.regint import siegel_letter, word_integral_zero_to_infinity
+from mevreg.mev import lambda_words
+from mevreg.regint import siegel_letter, word_integrals_zero_to_infinity
 from mevreg.specfun import ZETA3, ZETA_PRIME_MINUS2, bernoulli_poly
 
 __all__ = [
@@ -84,30 +84,24 @@ def _goncharov_mev_parts(
     c = -(a + b)
     _require_interior(a, b, c)
     letters = {p: siegel_letter(p, "holomorphic", cutoff) for p in {a, b, c}}
-
-    def word(*ps: EllipticParam):
-        return lambda_word([letters[p] for p in ps])
-
     triple_keys = [(a, b, b), (c, b, b), (b, a, a), (c, a, a), (c, b, a), (c, a, b)]
     triple_signs = [1.0, -1.0, 1.0, -1.0, 1.0, 1.0]
-    breakdown = {}
+    double_keys = [(a, b), (b, c), (c, a)]
+    keys = triple_keys + double_keys + [(a,), (b,)]
+    names = ["L(%s,%s,%s)" % key for key in triple_keys]
+    names += ["L(%s,%s)" % key for key in double_keys] + ["L(a)", "L(b)"]
+    # the 11 words in one pass, combined in the order of the formula
+    results = lambda_words([[letters[p] for p in key] for key in keys])
+    breakdown = {name: res.value for name, res in zip(names, results)}
     bound = 0.0
-    total = 0.0 + 0.0j
-    for key, sign in zip(triple_keys, triple_signs):
-        res = word(*key)
-        breakdown["L(%s,%s,%s)" % key] = res.value
+    for res in results:
         bound += res.truncation_bound
+    total = 0.0 + 0.0j
+    for sign, res in zip(triple_signs, results):
         total += sign * res.value
     dsum = 0.0 + 0.0j
-    for key in [(a, b), (b, c), (c, a)]:
-        res = word(*key)
-        breakdown["L(%s,%s)" % key] = res.value
-        bound += res.truncation_bound
+    for res in results[6:9]:
         dsum += res.value
-    for p, name in ((a, "a"), (b, "b")):
-        res = word(p)
-        breakdown[f"L({name})"] = res.value
-        bound += res.truncation_bound
     total -= (breakdown["L(b)"] - breakdown["L(a)"]) * dsum
     if bound > _TRUNCATION_CEILING:
         raise ArithmeticError(
@@ -217,7 +211,8 @@ def dg_da2(
 ) -> DerivativeComparison:
     """d/d(a2) of the regulator integral, three ways.
 
-    (i) central finite difference of ``goncharov_mev`` at the given step;
+    (i) five-point central difference of ``goncharov_mev`` at steps
+        +-h and +-2h: (g(-2h) - 8 g(-h) + 8 g(h) - g(2h)) / (12 h);
     (ii) 2 pi * (-4 pi^2) Im of the weight-(2,3) iterated integral of
          (w_a - w_b)(w3_b - w3_a/2 - w3_c/2), through the exponent-swap
          building block ``im_i_direct``;
@@ -230,16 +225,14 @@ def dg_da2(
     """
     c = -(a + b)
     _require_interior(a, b, c)
-    for eps in (step, -step):
-        shifted = EllipticParam(a.x1, a.x2 + eps)
-        _require_interior(shifted, b, -(shifted + b))
-        if component_label(shifted, b) != component_label(a, b):
+    shifted = {k: EllipticParam(a.x1, a.x2 + k * step) for k in (-2, -1, 1, 2)}
+    for p in shifted.values():
+        _require_interior(p, b, -(p + b))
+        if component_label(p, b) != component_label(a, b):
             raise ValueError("finite-difference step crosses a component boundary")
 
-    h = float(step)
-    g_plus = goncharov_mev(EllipticParam(a.x1, a.x2 + step), b, cutoff)
-    g_minus = goncharov_mev(EllipticParam(a.x1, a.x2 - step), b, cutoff)
-    fd = (g_plus - g_minus) / (2.0 * h)
+    g = {k: goncharov_mev(p, b, cutoff) for k, p in shifted.items()}
+    fd = (g[-2] - 8.0 * g[-1] + 8.0 * g[1] - g[2]) / (12.0 * float(step))
 
     # Bilinear expansion of Im int (w_a - w_b)(w3_b - w3_a/2 - w3_c/2) into
     # the block Im I(u, v) = Im int E2_u * Eichler(E3_v) dy.  Each word
@@ -282,10 +275,13 @@ def k2_regulator(
         raise ValueError("parameters must be nonzero")
     la = siegel_letter(a, "holomorphic", cutoff)
     lb = siegel_letter(b, "holomorphic", cutoff)
-    double = word_integral_zero_to_infinity([la, lb])
-    plus_a = word_integral_zero_to_infinity([siegel_letter(a, "plus", cutoff)]).real
-    minus_b = word_integral_zero_to_infinity([siegel_letter(b, "minus", cutoff)]).real
-    minus_a = word_integral_zero_to_infinity([siegel_letter(a, "minus", cutoff)]).real
+    words = [[la, lb]] + [
+        [siegel_letter(p, channel, cutoff)]
+        for p, channel in ((a, "plus"), (b, "minus"), (a, "minus"))
+    ]
+    values = [v for v, _ in word_integrals_zero_to_infinity(words)]
+    double = values[0]
+    plus_a, minus_b, minus_a = (v.real for v in values[1:])
     r_a = _siegel_log_inf_real(a)
     r_b = _siegel_log_inf_real(b)
     return double.imag - plus_a * minus_b + r_a * minus_b - r_b * minus_a

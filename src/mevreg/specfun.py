@@ -59,9 +59,10 @@ the sums below lose nothing to it near s = 1.  Every other s is reflected:
   transform.
 
 The work is linear in q; no q x q table is formed.  The roots of unity
-e(j/q) come from ``roots_of_unity(q)``, a bounded LRU cache that the series
-generators in ``eisenstein`` share; entry j is ``cmath.exp`` of
-2 pi i (j/q), with the quarter turns exact.
+e(j/q) come from ``roots_of_unity(q)``, a bounded LRU cache of the table of
+``unit_root(j, q)``: ``cmath.exp`` of 2 pi i (j/q), with the quarter turns
+exact.  The series generators in ``eisenstein`` call ``unit_root`` only for
+the residues their terms reach.
 """
 
 from __future__ import annotations
@@ -85,6 +86,7 @@ __all__ = [
     "hurwitz_zeta",
     "periodic_zeta",
     "roots_of_unity",
+    "unit_root",
     "upper_incomplete_gamma",
     "upper_incomplete_gamma_grid",
 ]
@@ -229,17 +231,24 @@ def _is_nonpositive_int(s: complex) -> bool:
     return s.imag == 0.0 and s.real <= 0.0 and s.real == round(s.real)
 
 
+_QUARTER_TURNS = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
+
+
+def unit_root(r: int, q: int) -> complex:
+    """e(r/q) for 0 <= r < q, with 1, i, -1 and -i exact."""
+    quarter, rest = divmod(4 * r, q)
+    if rest == 0:
+        return _QUARTER_TURNS[quarter]
+    # r / q is correctly rounded, as float(Fraction(r, q)) is
+    return cmath.exp(2j * math.pi * ((r / q) % 1.0))
+
+
 @lru_cache(maxsize=32)
 def roots_of_unity(q: int) -> tuple[complex, ...]:
-    """(e(0/q), e(1/q), ..., e((q-1)/q)), with 1, i, -1 and -i exact."""
+    """(e(0/q), e(1/q), ..., e((q-1)/q)), each as ``unit_root`` gives it."""
     if q < 1:
         raise ValueError(f"roots_of_unity needs q >= 1, got {q}")
-    # j / q is correctly rounded, as float(Fraction(j, q)) is
-    table = [cmath.exp(2j * math.pi * ((j / q) % 1.0)) for j in range(q)]
-    for quarter, exact in ((0, 1.0 + 0.0j), (1, 1.0j), (2, -1.0 + 0.0j), (3, -1.0j)):
-        if quarter * q % 4 == 0:
-            table[quarter * q // 4] = exact
-    return tuple(table)
+    return tuple(unit_root(j, q) for j in range(q))
 
 
 def _real_pow(x: np.ndarray, z: complex) -> np.ndarray:

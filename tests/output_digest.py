@@ -1,18 +1,22 @@
 """Print one sha256 per CLI command over a fixed list of commands.
 
 Each digest covers the exit status, stdout and stderr of ``mevreg.cli.main``
-run in this process.  Run it against two source trees and diff the output
-to check that a change leaves the CLI output bytes alone:
+run in this process.  Run it against two source trees and compare the
+output to check that a change leaves the CLI output bytes alone:
 
-    PYTHONPATH=src python tests/output_digest.py > new.txt
     PYTHONPATH=/path/to/other/src python tests/output_digest.py > old.txt
-    diff old.txt new.txt
+    PYTHONPATH=src python tests/output_digest.py --against old.txt
+
+With ``--against FILE`` it prints only the commands whose digest differs
+from the one FILE lists for them (a command FILE lacks counts as differing)
+and exits with status 1 if there is any.
 
 The file is not collected by pytest (its name does not start with test_).
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -101,7 +105,25 @@ def digest(argv: list[str]) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-if __name__ == "__main__":
+def run(args=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--against", metavar="FILE", help="earlier output to compare with")
+    opts = parser.parse_args(args)
+    if opts.against is None:
+        for argv in commands():
+            sys.stdout.write(f"{digest(argv)}  {' '.join(argv)}\n")
+            sys.stdout.flush()
+        return 0
+    with open(opts.against) as fh:
+        old = dict(reversed(line.rstrip("\n").split("  ", 1)) for line in fh if line.strip())
+    differ = 0
     for argv in commands():
-        sys.stdout.write(f"{digest(argv)}  {' '.join(argv)}\n")
-        sys.stdout.flush()
+        command = " ".join(argv)
+        if old.get(command) != digest(argv):
+            sys.stdout.write(f"{command}\n")
+            differ += 1
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(run())

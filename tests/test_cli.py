@@ -34,6 +34,31 @@ def test_mev_multiple_words(capsys):
     assert payload[1]["params"] == [["1/5", "2/5"], ["3/5", "1/5"]]
 
 
+def test_mev_text_separates_records(capsys):
+    code, out = run_cli(
+        ["mev", "--params", "1/4,1/4", "1/5,2/5", "--format", "text"], capsys
+    )
+    assert code == 0
+    records = out.rstrip("\n").split("\n\n")
+    assert len(records) == 2
+    for record, params in zip(records, ('[["1/4", "1/4"]]', '[["1/5", "2/5"]]')):
+        lines = record.split("\n")
+        assert len(lines) == 5 and all(": " in line for line in lines)
+        assert f"params: {params}" in lines
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    from mevreg import cli
+
+    run_cli(["mev", "--params", "1/4,1/4"], capsys)
+    calls = []
+    monkeypatch.setattr(cli, "_build_parser", lambda: calls.append(1))
+    for _ in range(3):
+        code, _ = run_cli(["mev", "--params", "1/4,1/4"], capsys)
+        assert code == 0
+    assert calls == []
+
+
 def test_regulator_report(capsys):
     code, out = run_cli(
         ["regulator", "--a", "1/5,1/5", "--b", "2/5,3/5"], capsys

@@ -2,7 +2,9 @@ import importlib
 import math
 import pkgutil
 import random
+import struct
 from fractions import Fraction as F
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from mevreg import mellin as ML
 from mevreg import regint as R
 from mevreg.regulator import regulator_report
 
+from test_slot_kernels import ref_antiderivative, ref_mul_series
 from oracles import (
     coeff_of,
     eval_e2_anywhere,
@@ -340,26 +343,32 @@ def test_parameter_differentiation_two_letters():
 # ---------------------------------------------------------------------------
 
 
-def fold_suffixes(series_list, cutoff):
+PACKAGE_KERNELS = (R.mul_series, R.antiderivative_to_infinity)
+# the from_grid-based reference copy of the two kernels
+REFERENCE_KERNELS = (ref_mul_series, ref_antiderivative)
+
+
+def fold_suffixes(series_list, cutoff, kernels=PACKAGE_KERNELS):
     """Uncached right fold: [S_0..S_{n-1}], S_j the series of int_tau^oo over
     the suffix starting at j; the last series is cut to the word's cutoff."""
+    mul, antiderivative = kernels
     n = len(series_list)
     out = [None] * n
     last = series_list[-1]
     integrand = TauQSeries.from_grid(last.L, *last.on_grid(last.L, cutoff), cutoff)
     for j in range(n - 1, -1, -1):
-        out[j] = R.antiderivative_to_infinity(integrand).scale(-1.0)
+        out[j] = antiderivative(integrand).scale(-1.0)
         if j:
-            integrand = R.mul_series(series_list[j - 1], out[j])
+            integrand = mul(series_list[j - 1], out[j])
     return out
 
 
-def fold_zero_to_infinity(letters, tau0_y=1.0):
+def fold_zero_to_infinity(letters, tau0_y=1.0, kernels=PACKAGE_KERNELS):
     """Value and bound of int_0^oo from the uncached fold, combined as in regint."""
     n = len(letters)
     cutoff = min(l.inf_side.cutoff for l in letters)
-    inf_suffix = fold_suffixes([l.inf_side for l in letters], cutoff)
-    zero_suffix = fold_suffixes([l.zero_side for l in reversed(letters)], cutoff)
+    inf_suffix = fold_suffixes([l.inf_side for l in letters], cutoff, kernels)
+    zero_suffix = fold_suffixes([l.zero_side for l in reversed(letters)], cutoff, kernels)
     total, bound = 0.0 + 0.0j, 0.0
     for k in range(n + 1):
         z, bz = 1.0 + 0.0j, 0.0
@@ -419,6 +428,56 @@ def test_shared_suffixes_match_uncached_fold(case):
     assert same_series(R.word_integral_to_infinity(word), want)
 
 
+def bits(results):
+    """The bit patterns of a list of (value, bound) pairs."""
+    return [struct.pack("<3d", v.real, v.imag, b) for v, b in results]
+
+
+@st.composite
+def word_sets(draw):
+    """One to six words over one letter pool, repeats allowed, and tau0_y."""
+    pool = draw(letter_pools())
+    picks = st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=4)
+    words = draw(st.lists(picks, min_size=1, max_size=6))
+    return [[pool[i] for i in word] for word in words], draw(st.sampled_from([1.0, 1.5]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(word_sets(), st.data())
+def test_word_set_in_one_pass_matches_each_fold(case, data):
+    words, tau0_y = case
+    want = bits(fold_zero_to_infinity(w, tau0_y) for w in words)
+    # the reference kernels hold the slot order even if all package kernels
+    # changed it alike
+    assert bits(fold_zero_to_infinity(w, tau0_y, REFERENCE_KERNELS) for w in words) == want
+    R._suffix_entry.cache_clear()
+    assert bits(R.word_integrals_zero_to_infinity(words, tau0_y)) == want  # cold
+    order = data.draw(st.permutations(range(len(words))))
+    again = R.word_integrals_zero_to_infinity([words[n] for n in order], tau0_y)
+    assert bits(again) == [want[n] for n in order]  # warm, in another order
+    R._suffix_entry.cache_clear()
+    first = data.draw(st.integers(0, len(words) - 1))
+    R.word_integral_zero_to_infinity_with_bound(words[first], tau0_y)
+    assert bits(R.word_integrals_zero_to_infinity(words[::-1], tau0_y)) == want[::-1]
+
+
+def test_word_set_on_the_finite_difference_grid_sorts_its_keys():
+    # dg_da2 shifts a2 by 1/4096: the zero sides of a and c = -(a + b) lie on
+    # the 1/20480 grid, whose key span (245761 per tau power) is far wider
+    # than the pairs of a product, so the products sum after np.unique
+    a, b = X(F(1, 5), F(2, 5) + F(1, 4096)), X(F(2, 5), F(1, 5))
+    c = -(a + b)
+    letters = {p: R.siegel_letter(p) for p in (a, b, c)}
+    keys = [(a, b, b), (c, b, b), (c, a, b), (a, b), (b, c), (c, a), (a,), (b,)]
+    words = [[letters[p] for p in key] for key in keys]
+    want = bits(fold_zero_to_infinity(w) for w in words)
+    R._suffix_entry.cache_clear()
+    with mock.patch.object(np, "unique", wraps=np.unique) as spy:
+        got = R.word_integrals_zero_to_infinity(words)
+    assert spy.call_count >= 1
+    assert bits(got) == want
+
+
 def test_suffix_cache_keys_carry_the_word_cutoff():
     x, y, z = X(F(1, 5), F(2, 5)), X(F(2, 7), F(1, 7)), X(F(1, 3), F(1, 4))
     a, b = R.siegel_letter(x, cutoff=F(25, 2)), R.modular_letter(3, y, 2, F(25, 2))
@@ -448,8 +507,7 @@ def test_report_bytes_do_not_depend_on_cache_state():
     clear_package_caches()
     cold = regulator_report(a, b).to_json()
     warm = regulator_report(a, b).to_json()
-    R._suffix_integral.cache_clear()
-    R._suffix_value.cache_clear()
+    R._suffix_entry.cache_clear()
     cleared = regulator_report(a, b).to_json()
     assert cold == warm == cleared
 

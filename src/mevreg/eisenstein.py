@@ -87,6 +87,14 @@ class EllipticParam:
         object.__setattr__(self, "x1", Fraction(self.x1) % 1)
         object.__setattr__(self, "x2", Fraction(self.x2) % 1)
 
+    def __hash__(self) -> int:
+        # hash((x1, x2)), kept from the first call on: the caches keyed by a
+        # param look it up far more often than params are made
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = self.__dict__["_hash"] = hash((self.x1, self.x2))
+        return h
+
     def __neg__(self) -> "EllipticParam":
         return EllipticParam(-self.x1, -self.x2)
 

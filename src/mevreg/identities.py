@@ -31,10 +31,10 @@ from mevreg.eisenstein import (
     e_series,
     grid_limit,
 )
-from mevreg.mev import lambda_words, signed_letters
+from mevreg.mev import lambda_words
 from mevreg.regint import (
     AdmissibleForm,
-    mul_series,
+    _mul_pairs,
     one_series,
     siegel_letter,
     word_integral_to_infinity,
@@ -185,11 +185,12 @@ def check_bg_e(
             raise ValueError("x, y and z = -x-y must all be nonzero")
     e1y, e1z = e_series(1, y, cutoff), e_series(1, z, cutoff)
     e2x, e2y, e2z = (e_series(2, p, cutoff) for p in (x, y, z))
+    products = _mul_pairs([(e1z, e2y), (e1y, e2x), (e1z, e2x), (e1y, e2z)])
     combo = (
-        mul_series(e1z, e2y)
-        - mul_series(e1y, e2x)
-        - mul_series(e1z, e2x)
-        + mul_series(e1y, e2z)
+        products[0]
+        - products[1]
+        - products[2]
+        + products[3]
         - e_series(3, x, cutoff)
         + e_series(3, y, cutoff).scale(0.5)
         + e_series(3, z, cutoff).scale(0.5)
@@ -281,32 +282,27 @@ def _tail_function(letter: AdmissibleForm) -> tuple[TauQSeries, TauQSeries]:
     return inf, zero
 
 
-def _product_form(
-    functions: list[tuple[TauQSeries, TauQSeries]], letter: AdmissibleForm
-) -> AdmissibleForm:
-    """Form (prod_j F_j) * omega from both-sided functions and a letter."""
-    inf, zero = letter.inf_side, letter.zero_side
-    for f_inf, f_zero in functions:
-        inf = mul_series(inf, f_inf)
-        zero = mul_series(zero, f_zero)
-    return AdmissibleForm(inf, zero)
-
-
 def _a3_forms(
-    x: EllipticParam, y: EllipticParam, z: EllipticParam, cutoff: Fraction
+    a: EllipticParam, b: EllipticParam, c: EllipticParam, cutoff: Fraction
 ) -> list[AdmissibleForm]:
-    """The two composite forms of int_0^oo log|g_x| alpha(g_y ^ g_z).
+    """The 12 composite forms J_x J_y dlog|g_z| of the log-product term.
 
     With J_p = int_tau^oo dlog|g_p| one has log|g_p| = -J_p (interior
-    coordinates), so the integrand is -J_x J_y dlog|g_z| + J_x J_z dlog|g_y|:
-    the integral is -(first) + (second).
+    coordinates), so the piece int_0^oo log|g_x| alpha(g_y ^ g_z) is
+    -(x, y, z) + (x, z, y); the pieces are taken at x = b and x = a for
+    (y, z) in ((a, b), (b, c), (c, a)), in that order.  J_p is built once per
+    parameter.  Each side of a form is (letter z * J_x) * J_y, and each of
+    the two steps is one stacked product over all the forms.
     """
-    jx = _tail_function(siegel_letter(x, "plus", cutoff))
-    jy = _tail_function(siegel_letter(y, "plus", cutoff))
-    jz = _tail_function(siegel_letter(z, "plus", cutoff))
-    wy = siegel_letter(y, "plus", cutoff)
-    wz = siegel_letter(z, "plus", cutoff)
-    return [_product_form([jx, jy], wz), _product_form([jx, jz], wy)]
+    letters = {p: siegel_letter(p, "plus", cutoff) for p in (a, b, c)}
+    tails = {p: _tail_function(letter) for p, letter in letters.items()}
+    sides = {p: (letter.inf_side, letter.zero_side) for p, letter in letters.items()}
+    pieces = [(x, y, z) for y, z in ((a, b), (b, c), (c, a)) for x in (b, a)]
+    triples = [t for x, y, z in pieces for t in ((x, y, z), (x, z, y))]
+    steps = [(x, y, z, k) for x, y, z in triples for k in (0, 1)]
+    products = _mul_pairs([(sides[z][k], tails[x][k]) for x, _, z, k in steps])
+    products = _mul_pairs([(f, tails[y][k]) for f, (_, y, _, k) in zip(products, steps)])
+    return [AdmissibleForm(inf, zero) for inf, zero in zip(products[::2], products[1::2])]
 
 
 def _a3_direct(
@@ -315,8 +311,7 @@ def _a3_direct(
     """The log-product term through its 12 composite forms, in one pass:
     (1/3) sum over (y, z) in ((a,b), (b,c), (c,a)) of the piece at x = b
     minus the piece at x = a."""
-    pieces = [(x, y, z) for y, z in ((a, b), (b, c), (c, a)) for x in (b, a)]
-    forms = [form for piece in pieces for form in _a3_forms(*piece, cutoff)]
+    forms = _a3_forms(a, b, c, cutoff)
     values = [v for v, _ in word_integrals_zero_to_infinity([[form] for form in forms])]
     piece = [(-first + second).real for first, second in zip(values[::2], values[1::2])]
     total = 0.0
@@ -350,7 +345,12 @@ def check_shuffle_ledger(
         lambda params: plain.setdefault(tuple(params), 0j),
         0.0,
     )
-    words = [signed_letters(params, signs, cutoff) for params, signs in signed]
+    letter = {
+        (p, sign): siegel_letter(p, channel, cutoff)
+        for p in (a, b, c)
+        for sign, channel in (("+", "plus"), ("-", "minus"))
+    }
+    words = [[letter[p, s] for p, s in zip(params, signs)] for params, signs in signed]
     words += [[siegel_letter(p, "holomorphic", cutoff) for p in params] for params in plain]
     results = iter(lambda_words(words))
     signed = {key: next(results).value.real for key in signed}

@@ -22,7 +22,9 @@ Two pipelines:
 
 The two-sided forms (``eisenstein_form``, ``g_product_form`` and the
 exponent-swapped ``swap_form``) are built by ``regint.product_form``, which
-reads their sigma sides from ``eisenstein.sigma_companion``.
+reads their sigma sides from ``eisenstein.sigma_companion``; ``swap_form``
+builds its two G-products, and their H sides, in one batched call
+(``regint._product_forms``).
 
 Products of two Eisenstein series are always continued numerically, never
 symbolically; the constant-term algebra of the reduction to L-values is
@@ -45,6 +47,7 @@ import numpy as np
 from mevreg.eisenstein import DEFAULT_CUTOFF, EisensteinSpec, EllipticParam
 from mevreg.regint import (
     AdmissibleForm,
+    _product_forms,
     modular_letter,
     product_form,
     word_integral_zero_to_infinity,
@@ -224,11 +227,10 @@ def swap_form(
     """The exponent-swapped product
     G^(1)_{u1,v2} G^(k)_{v1,-u2} + sign * G^(1)_{u1,-v2} G^(k)_{v1,u2}.
     """
-    first = g_product_form(
-        [(1, EllipticParam(u.x1, v.x2)), (k, EllipticParam(v.x1, -u.x2))], cutoff
-    )
-    second = g_product_form(
-        [(1, EllipticParam(u.x1, -v.x2)), (k, EllipticParam(v.x1, u.x2))], cutoff
+    P = EllipticParam
+    pairs = ((P(u.x1, v.x2), P(v.x1, -u.x2)), (P(u.x1, -v.x2), P(v.x1, u.x2)))
+    first, second = _product_forms(
+        [[EisensteinSpec("G", 1, p), EisensteinSpec("G", k, q)] for p, q in pairs], cutoff
     )
     return first + second.scale(sign)
 

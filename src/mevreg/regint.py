@@ -17,8 +17,9 @@ of ``mevreg mev``) is spelled by ``cli``.
 ``product_form`` is the one constructor of the two-sided forms of
 Eisenstein products (the E-letters here, the G/H forms of ``mellin``); the
 sigma data it applies come from ``eisenstein.sigma_companion``, the only
-sigma table.  The two expansions of one form satisfy g(i) = -f(i), which
-the tests use as a consistency probe of that table.
+sigma table; ``_product_forms`` builds a list of such forms at once.  The
+two expansions of one form satisfy g(i) = -f(i), which the tests use as a
+consistency probe of that table.
 
 Regularisation conventions (right-nested):
 
@@ -45,7 +46,9 @@ Cauchy product, one antiderivative and one evaluation serve them all.
 ``mul_series``, ``antiderivative_to_infinity`` and ``evaluate_with_bound``
 are the one-series case of the same kernels, and every slot adds its terms
 in the same order either way, so a value does not depend on the words it
-was computed with.
+was computed with.  The products outside the word engine take the same
+stacked kernel: ``_mul_pairs`` forms a list of pairs, each distinct pair
+once, and ``mul_series`` is its one-pair case.
 
 Real/imaginary channels: with conj_axis(f)(iy) = conj(f(iy)), the real and
 imaginary parts of a form f d(tau) restricted to the axis are again forms
@@ -58,7 +61,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import accumulate
 from fractions import Fraction
 from typing import NamedTuple, Sequence
@@ -217,10 +220,12 @@ def _chunks(sizes: list[int]) -> list[tuple[int, int]]:
 def _groups(items: list[tuple[int, Fraction]]):
     """Yield (L, cutoff, positions): the positions of ``items`` (grid, cutoff)
     that share both, in runs short enough for their keys to fit int64."""
-    groups: dict[tuple[int, Fraction], list[int]] = {}
-    for n, key in enumerate(items):
-        groups.setdefault(key, []).append(n)
-    for (L, cutoff), members in groups.items():
+    groups: dict[tuple[int, int, int], list[int]] = {}
+    for n, (L, cutoff) in enumerate(items):
+        # keyed by integers: a Fraction recomputes its hash on every lookup
+        groups.setdefault((L, cutoff.numerator, cutoff.denominator), []).append(n)
+    for (L, _, _), members in groups.items():
+        cutoff = items[members[0]][1]
         cap = max(1, _INT64_MAX // (_STRIDE_ROOM * (grid_limit(L, cutoff) + 1)))
         for lo in range(0, len(members), cap):
             yield L, cutoff, members[lo : lo + cap]
@@ -281,6 +286,30 @@ def _products(pairs: Sequence[tuple[TauQSeries, TauQSeries]], L: int, cutoff: Fr
         yield s0, s1, _decode(L, cutoff, size, flat, c, stride, span)
 
 
+def _product_stacks(pairs: Sequence[tuple[TauQSeries, TauQSeries]]):
+    """Yield (positions, stack of their products a * b) over the pairs (a, b),
+    grouped by common grid and cutoff and stacked by ``_products``."""
+    groups = _groups([(math.lcm(a.L, b.L), min(a.cutoff, b.cutoff)) for a, b in pairs])
+    for L, cutoff, members in groups:
+        for s0, s1, product in _products([pairs[n] for n in members], L, cutoff):
+            yield members[s0:s1], product
+
+
+def _mul_pairs(pairs: Sequence[tuple[TauQSeries, TauQSeries]]) -> list[TauQSeries]:
+    """``mul_series`` of each pair (a, b), in stacked passes; a pair repeated
+    (the same two series, by identity) is formed once and shared."""
+    index: dict[tuple[int, int], int] = {}
+    distinct = []
+    for a, b in pairs:
+        if index.setdefault((id(a), id(b)), len(distinct)) == len(distinct):
+            distinct.append((a, b))
+    out: list = [None] * len(distinct)
+    for members, st in _product_stacks(distinct):
+        for n, series in zip(members, st.series()):
+            out[n] = series
+    return [out[index[id(a), id(b)]] for a, b in pairs]
+
+
 def mul_series(a: TauQSeries, b: TauQSeries) -> TauQSeries:
     """Cauchy product on the (alpha, m) bigrading; cutoff = min of the two.
 
@@ -290,8 +319,7 @@ def mul_series(a: TauQSeries, b: TauQSeries) -> TauQSeries:
     of its two terms' keys, so each factor is gathered once for keys and once
     for coefficients; equal keys are summed a-major.
     """
-    ((_, _, product),) = _products([(a, b)], math.lcm(a.L, b.L), min(a.cutoff, b.cutoff))
-    return product.series()[0]
+    return _mul_pairs([(a, b)])[0]
 
 
 def conj_axis(a: TauQSeries) -> TauQSeries:
@@ -320,31 +348,33 @@ def _antiderivatives(st: _Stack) -> _Stack:
     seg = st.segment_of_terms()
     flat = j == 0  # the alpha = 0 terms lead each segment
     rows = ~flat
-    jq, mq = j[rows], m[rows]
-    base = 1.0 / (TWO_PI_I * (jq / st.L))
-    # row r, column t: the parts of the coefficient of tau^{m_r - t} q^{alpha_r},
-    # t = 0..m_r, each product rounded part by part
-    width = int(mq.max(initial=0)) + 1
-    re, im = np.empty((jq.size, width)), np.empty((jq.size, width))
-    xr, xi, w = c.real[rows], c.imag[rows], base
-    for t in range(width):
-        if t:
-            xr, xi, w = re[:, t - 1], im[:, t - 1], -(mq - (t - 1)) * base
-        re[:, t] = xr * w.real - xi * w.imag
-        im[:, t] = xr * w.imag + xi * w.real
-    steps = np.arange(width)
-    valid = steps <= mq[:, None]
     # tau^{m_r - t} q^{alpha_r} sits at slot (j_r * stride + m_r) - t; the
     # alpha = 0 terms move up one tau power
     stride = int(m.max(initial=0)) + 2
     span = key_span(st.L, grid_limit(st.L, st.cutoff), stride, st.size)
     lead = m[flat] + 1
-    slot = np.concatenate(
-        [seg[flat] * span + lead, ((seg[rows] * span + jq * stride + mq)[:, None] - steps)[valid]]
-    )
-    re = np.concatenate([c.real[flat] / lead, re[valid]])
-    im = np.concatenate([c.imag[flat] / lead, im[valid]])
-    flat, total = sum_slots([(slot, re, im)], st.size * span, slot.size)
+    slots, res, ims = [seg[flat] * span + lead], [c.real[flat] / lead], [c.imag[flat] / lead]
+    jq, mq = j[rows], m[rows]
+    key = seg[rows] * span + jq * stride + mq
+    base = 1.0 / (TWO_PI_I * (jq / st.L))
+    # column t: the parts of the coefficient of tau^{m_r - t} q^{alpha_r} of
+    # the rows with m_r >= t, each product rounded part by part.  The rows of
+    # one slot share j, so their order by t is their order by m, as in a row
+    # by row sweep.
+    xr, xi, w = c.real[rows], c.imag[rows], base
+    for t in range(int(mq.max(initial=0)) + 1):
+        if t:
+            live = mq >= t
+            key, mq, base, xr, xi = key[live], mq[live], base[live], re[live], im[live]
+            w = -(mq - (t - 1)) * base
+        re = xr * w.real - xi * w.imag
+        im = xr * w.imag + xi * w.real
+        slots.append(key - t)
+        res.append(re)
+        ims.append(im)
+    slot = np.concatenate(slots)
+    piece = (slot, np.concatenate(res), np.concatenate(ims))
+    flat, total = sum_slots([piece], st.size * span, slot.size)
     return _decode(st.L, st.cutoff, st.size, flat, total, stride, span)
 
 
@@ -463,19 +493,40 @@ def product_form(
     (-1)^{m'} (prod_i s_i) tau^{K - m' - 2} (prod_i f'_i)(tau);
     0 <= m' <= K - 2 is exactly admissibility at oo and at 0.
     """
-    total_k = sum(spec.weight for spec in specs)
-    if not 0 <= tau_power <= total_k - 2:
-        raise ValueError(
-            f"tau power {tau_power} is not admissible at total weight {total_k}: "
-            f"need 0 <= m' <= {total_k - 2}"
+    return _product_forms([specs], cutoff, tau_power)[0]
+
+
+def _product_forms(
+    spec_lists: Sequence[Sequence[EisensteinSpec]],
+    cutoff: Fraction = DEFAULT_CUTOFF,
+    tau_power: int = 0,
+) -> list[AdmissibleForm]:
+    """``product_form`` of each spec list.  The factors of each side reduce
+    left to right, and step n forms the n-th products of all the sides in
+    one ``_mul_pairs`` call; a single-spec form makes none."""
+    chains, signs = [], []  # the factor series of each side, inf side first
+    for specs in spec_lists:
+        total_k = sum(spec.weight for spec in specs)
+        if not 0 <= tau_power <= total_k - 2:
+            raise ValueError(
+                f"tau power {tau_power} is not admissible at total weight {total_k}: "
+                f"need 0 <= m' <= {total_k - 2}"
+            )
+        companions = [sigma_companion(spec) for spec in specs]
+        chains.append([series_for(spec, cutoff) for spec in specs])
+        chains.append([series_for(comp, cutoff) for comp, _ in companions])
+        signs.append((total_k, (-1) ** tau_power * math.prod(s for _, s in companions)))
+    sides = [chain[0] for chain in chains]
+    for step in range(1, max(map(len, chains))):
+        at = [n for n, chain in enumerate(chains) if step < len(chain)]
+        for n, product in zip(at, _mul_pairs([(sides[n], chains[n][step]) for n in at])):
+            sides[n] = product
+    return [
+        AdmissibleForm(
+            inf.shift_tau(tau_power), zero.shift_tau(total_k - tau_power - 2).scale(sign)
         )
-    companions = [sigma_companion(spec) for spec in specs]
-    inf = reduce(mul_series, [series_for(spec, cutoff) for spec in specs])
-    zero = reduce(mul_series, [series_for(comp, cutoff) for comp, _ in companions])
-    sign = (-1) ** tau_power * math.prod(s for _, s in companions)
-    return AdmissibleForm(
-        inf.shift_tau(tau_power), zero.shift_tau(total_k - tau_power - 2).scale(sign)
-    )
+        for inf, zero, (total_k, sign) in zip(sides[::2], sides[1::2], signs)
+    ]
 
 
 @lru_cache(maxsize=2048)
@@ -585,12 +636,7 @@ def _suffix_entries(keys) -> dict:
             ]
         else:
             pairs = [(key[0][0], entries[key[0][1:], *key[1:]].series) for key in batch]
-            groups = _groups([(math.lcm(a.L, b.L), min(a.cutoff, b.cutoff)) for a, b in pairs])
-            stacks = [
-                (members[s0:s1], product)
-                for L, cutoff, members in groups
-                for s0, s1, product in _products([pairs[n] for n in members], L, cutoff)
-            ]
+            stacks = list(_product_stacks(pairs))
         for members, st in stacks:
             st = _antiderivatives(st)
             # scale(-1.0) of each segment

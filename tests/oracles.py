@@ -29,7 +29,15 @@ from mevreg.eisenstein import (
     log_siegel_series,
 )
 from mevreg.identities import IdentityReport
-from mevreg.regint import evaluate_at
+from mevreg.regint import (
+    AdmissibleForm,
+    evaluate_at,
+    mul_series,
+    one_series,
+    siegel_letter,
+    word_integral_to_infinity,
+    word_integral_zero_to_infinity,
+)
 from mevreg.specfun import bernoulli_poly
 
 CUT = Fraction(12)
@@ -288,3 +296,33 @@ def eval_e2_anywhere(x: EllipticParam, yv: float) -> complex:
     if yv >= 1.0:
         return evaluate_at(e_series(2, x, CUT), yv)
     return (1j / yv) ** 2 * evaluate_at(e_series(2, x.sigma(), CUT), 1.0 / yv)
+
+
+def tail_function_reference(letter: AdmissibleForm) -> tuple[TauQSeries, TauQSeries]:
+    """Both sides of J(tau) = int_tau^oo of one letter: the tail integral of
+    the letter, and that of its pullback plus the regularised int_0^oo."""
+    inf = word_integral_to_infinity([letter])
+    const = word_integral_zero_to_infinity([letter])
+    zero = word_integral_to_infinity([letter.sigma_pullback()])
+    return inf, zero + one_series(zero.cutoff).scale(const)
+
+
+def a3_forms_reference(a, b, c, cutoff) -> list[AdmissibleForm]:
+    """The 12 composite forms J_x J_y dlog|g_z| of the shuffle ledger's
+    log-product term, one form at a time: each piece (x, y, z) builds its
+    three tail functions afresh and each side multiplies one factor at a
+    time, (letter z * J_x) * J_y.  The pieces and their forms come in the
+    order of ``identities._a3_forms``."""
+    forms = []
+    for y, z in ((a, b), (b, c), (c, a)):
+        for x in (b, a):
+            jx, jy, jz = (
+                tail_function_reference(siegel_letter(p, "plus", cutoff)) for p in (x, y, z)
+            )
+            for tails, p in (((jx, jy), z), ((jx, jz), y)):
+                letter = siegel_letter(p, "plus", cutoff)
+                inf, zero = letter.inf_side, letter.zero_side
+                for f_inf, f_zero in tails:
+                    inf, zero = mul_series(inf, f_inf), mul_series(zero, f_zero)
+                forms.append(AdmissibleForm(inf, zero))
+    return forms

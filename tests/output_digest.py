@@ -61,6 +61,8 @@ PRINTER_COMMANDS = (
     ["verify", "--suite", "all", "--level", "5", "--format", "text"],
     ["verify", "--suite", "bg", "--level", "5", "--format", "csv"],
 )
+# every suite (the shuffle ledger, rz, thm and bg_e) at two more levels
+LATE_VERIFY_LEVELS = ("11", "13")
 
 
 def commands() -> list[list[str]]:
@@ -91,6 +93,8 @@ def commands() -> list[list[str]]:
         out.append(["regulator", "--a", a, "--b", b, "--level", str(level)])
     out.append(["mev", "--params", MIXED_GRID_WORD])
     out.extend(list(argv) for argv in PRINTER_COMMANDS)
+    for level in LATE_VERIFY_LEVELS:
+        out.append(["verify", "--suite", "all", "--level", level])
     return out
 
 

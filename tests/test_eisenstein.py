@@ -1,5 +1,6 @@
 import cmath
 import math
+import pickle
 import random
 from fractions import Fraction as F
 
@@ -61,6 +62,18 @@ def test_param_normalisation():
     assert p.x1 == F(2, 5) and p.x2 == F(2, 3)
     assert (-p).x1 == F(3, 5)
     assert p.level() == 15
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(-40, 40), st.integers(1, 13), st.integers(-40, 40), st.integers(1, 13))
+def test_param_hash_is_the_hash_of_its_coordinates(n1, d1, n2, d2):
+    p, q = X(F(n1, d1), F(n2, d2)), X(F(n1 + d1, d1), F(n2 - 3 * d2, d2))
+    assert p == q and hash(p) == hash(q) == hash((p.x1, p.x2))
+    assert hash(p) == hash(p)  # the kept value
+    for r in (p, X(F(n1, d1), F(n2, d2))):  # hashed before pickling, and not
+        back = pickle.loads(pickle.dumps(r))
+        assert back == p and hash(back) == hash(p)
+        assert {back: 1}[p] == 1
 
 
 # ---------------------------------------------------------------------------

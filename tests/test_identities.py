@@ -1,14 +1,18 @@
 import cmath
 import math
+import struct
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mevreg.eisenstein import EllipticParam, _g_family_terms, grid_limit
 from mevreg import identities as ID
+from mevreg.regint import word_integrals_zero_to_infinity
 
-from oracles import coeff_of
+from oracles import a3_forms_reference, coeff_of
+from test_slot_kernels import assert_same_bits
 
 X = EllipticParam
 
@@ -243,6 +247,42 @@ def test_shuffle_ledger():
     assert {"shuffle2", "shuffle7", "a2_collapse", "a3_collapse"} <= names
     for r in reports:
         assert r.residual < 1e-8, r.name
+
+
+# (a, b) at levels 5, 7 and 13 with a, b and c = -(a + b) all distinct; the
+# last pair has c = a, so two of the three tail functions coincide
+A3_PAIRS = (
+    ((F(1, 5), F(1, 5)), (F(2, 5), F(3, 5))),
+    ((F(1, 7), F(2, 7)), (F(3, 7), F(1, 7))),
+    ((F(1, 13), F(2, 13)), (F(3, 13), F(8, 13))),
+    ((F(1, 5), F(2, 5)), (F(3, 5), F(1, 5))),
+)
+
+
+@pytest.mark.parametrize("a, b", A3_PAIRS)
+def test_a3_forms_match_the_one_form_at_a_time_route(a, b):
+    a, b = X(*a), X(*b)
+    c = -(a + b)
+    got = ID._a3_forms(a, b, c, F(12))
+    want = a3_forms_reference(a, b, c, F(12))
+    assert len(got) == len(want) == 12
+    for form, ref in zip(got, want):
+        assert_same_bits(form.inf_side, ref.inf_side)
+        assert_same_bits(form.zero_side, ref.zero_side)
+    values = [word_integrals_zero_to_infinity([[f]])[0] for f in want]
+    pack = [struct.pack("<3d", v.real, v.imag, bound) for v, bound in values]
+    together = word_integrals_zero_to_infinity([[f] for f in got])
+    assert [struct.pack("<3d", v.real, v.imag, bound) for v, bound in together] == pack
+    if c != a:
+        # a value near zero would prove little
+        assert abs(ID._a3_direct(a, b, c, F(12))) > 1e-3
+
+
+def test_ledger_builds_one_tail_function_per_parameter():
+    a, b = X(F(1, 7), F(2, 7)), X(F(3, 7), F(1, 7))
+    with mock.patch.object(ID, "_tail_function", wraps=ID._tail_function) as spy:
+        ID.check_shuffle_ledger(a, b)
+    assert spy.call_count == 3
 
 
 def test_shuffle_ledger_boundary_guard():

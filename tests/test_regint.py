@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import mevreg
 from mevreg.eisenstein import (
@@ -17,12 +17,13 @@ from mevreg.eisenstein import (
     TauQSeries,
     e_series,
     eichler_series,
+    series_for,
 )
 from mevreg import mellin as ML
 from mevreg import regint as R
 from mevreg.regulator import regulator_report
 
-from test_slot_kernels import ref_antiderivative, ref_mul_series
+from test_slot_kernels import assert_same_bits, ref_antiderivative, ref_mul_series
 from oracles import (
     coeff_of,
     eval_e2_anywhere,
@@ -88,6 +89,62 @@ def test_mul_series_cutoff_inheritance():
     a = rand_series(random.Random(1), cutoff=F(12))
     b = rand_series(random.Random(2), cutoff=F(8))
     assert R.mul_series(a, b).cutoff == F(8)
+
+
+@st.composite
+def spec_pools(draw):
+    """One to four E (1/N grid), G (1/N^2 grid) and H (integer grid) specs of
+    weight 1 to 3 at levels 2..13."""
+    pool = []
+    for _ in range(draw(st.integers(1, 4))):
+        n = draw(st.integers(2, 13))
+        x = X(F(draw(st.integers(1, n - 1)), n), F(draw(st.integers(0, n - 1)), n))
+        pool.append(EisensteinSpec(draw(st.sampled_from("EGH")), draw(st.integers(1, 3)), x))
+    return pool
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec_pools(), st.data())
+def test_batched_products_match_one_pair_at_a_time(pool, data):
+    cutoffs = [data.draw(st.sampled_from([F(4), F(25, 2)])) for _ in pool]
+    series = [series_for(spec, cutoff) for spec, cutoff in zip(pool, cutoffs)]
+    # the first series again under the other cutoff
+    series.append(series_for(pool[0], F(4) + F(25, 2) - cutoffs[0]))
+    index = st.integers(0, len(series) - 1)
+    picks = data.draw(st.lists(st.tuples(index, index), min_size=1, max_size=8))
+    picks += data.draw(st.lists(st.sampled_from(picks), max_size=3))  # repeats
+    pairs = [(series[i], series[k]) for i, k in picks]
+    got = R._mul_pairs(pairs)
+    for product, (a, b) in zip(got, pairs):
+        assert_same_bits(product, R.mul_series(a, b))
+    for n, pick in enumerate(picks):
+        assert got[n] is got[picks.index(pick)]  # a repeated pair is formed once
+
+
+@settings(max_examples=30, deadline=None)
+@given(spec_pools(), st.data())
+def test_batched_product_forms_match_one_form_at_a_time(pool, data):
+    specs = st.lists(st.sampled_from(pool), min_size=1, max_size=3)
+    spec_lists = [
+        s for s in data.draw(st.lists(specs, min_size=1, max_size=4))
+        if sum(spec.weight for spec in s) >= 2
+    ]
+    assume(spec_lists)
+    cutoff = data.draw(st.sampled_from([F(4), F(25, 2)]))
+    least = min(sum(spec.weight for spec in s) for s in spec_lists)
+    tau_power = data.draw(st.integers(0, least - 2))
+    forms = R._product_forms(spec_lists, cutoff, tau_power)
+    for form, specs in zip(forms, spec_lists):
+        want = R.product_form(specs, cutoff, tau_power)
+        assert_same_bits(form.inf_side, want.inf_side)
+        assert_same_bits(form.zero_side, want.zero_side)
+
+
+def test_product_form_of_one_spec_forms_no_product():
+    spec = EisensteinSpec("G", 2, X(F(1, 5), F(2, 5)))
+    with mock.patch.object(R, "_products", wraps=R._products) as spy:
+        R.product_form((spec,), F(25, 2))
+    assert spy.call_count == 0
 
 
 def test_conj_axis():
